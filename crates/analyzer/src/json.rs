@@ -6,23 +6,7 @@
 //! relies on when diffing analyzer output across runs.
 
 use crate::diag::{Report, LINTS};
-
-/// Escapes a string for a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+use cta_obs::json_escape;
 
 /// Renders the full report as a JSON document (version, lint registry,
 /// sorted diagnostics, counts).
@@ -35,7 +19,7 @@ pub fn render_json(report: &Report) -> String {
             l.code,
             l.name,
             l.default_level,
-            escape(l.summary),
+            json_escape(l.summary),
             if i + 1 < LINTS.len() { "," } else { "" }
         ));
     }
@@ -47,8 +31,8 @@ pub fn render_json(report: &Report) -> String {
             d.code,
             d.name,
             d.level,
-            escape(&d.subject),
-            escape(&d.message),
+            json_escape(&d.subject),
+            json_escape(&d.message),
             if i + 1 < diags.len() { "," } else { "" }
         ));
     }
@@ -65,12 +49,6 @@ pub fn render_json(report: &Report) -> String {
 mod tests {
     use super::*;
     use crate::diag::{AGENT_COVERAGE, PARTITION_COVERAGE};
-
-    #[test]
-    fn escaping() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
-    }
 
     #[test]
     fn json_is_deterministic_across_emission_orders() {

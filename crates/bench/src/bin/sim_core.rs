@@ -9,37 +9,36 @@
 //! CI can gate on it.
 //!
 //! Usage:
-//!   sim_core [--reduced] [--arch ata] [--profile] [--check <path>] [--before <seconds>] [--out <path>]
+//!   sim_core [--reduced] [--arch ata] [--profile] [--check <path>] [--out <path>]
 //!
 //! `--reduced` runs a small Fermi-only subset (the CI smoke matrix).
 //! `--arch ata` appends the aggregated-tag-array sweep: every Table 2
 //! app simulated under the stock Maxwell preset and its ATA variant,
 //! with both L1 and L2 hit rates in an `ata` JSON section.
-//! `--profile` prints a deterministic per-run work-model table on
-//! stderr: coalescer shape-path hits, tag-scan chunks, victim-scan
-//! ways, set conflicts and heap pushes for every (arch, app, request).
-//! The counters are exact event counts, not wall-clock samples, so two
-//! runs of the same matrix produce byte-identical tables — this is the
-//! profiler the speed work is aimed with.
-//! `--check` compares the fresh run against a committed
-//! `BENCH_sim_core.json` (run count, conservation violations, skip
-//! ratio, and the exact `work_model` counters) and exits nonzero on
+//! `--profile` prints one deterministic line per (arch, app, request)
+//! on stderr, `profile ARCH/APP/REQ: name=value ...`, listing every
+//! `EngineMetrics` counter and then every `WorkModel` counter in
+//! declaration order. The counters are exact event counts, not
+//! wall-clock samples, so two runs of the same matrix produce
+//! byte-identical lines — this is the profiler the speed work is aimed
+//! with.
+//! `--check` parses a committed `BENCH_sim_core.json` and compares the
+//! fresh run against it (mode, run count, conservation violations, and
+//! every `engine` and `work_model` counter exactly) and exits nonzero on
 //! regression — the CI perf-smoke gate.
-//! `--before` overrides the committed pre-rework baseline wall time the
-//! speedup is normalized against (full matrix, 1 thread).
 //! `--out` additionally writes the JSON to a file.
+//!
+//! The `engine` and `work_model` sections, the profile line and the
+//! check all list the counters `EngineMetrics::counters` and
+//! `WorkModel::counters` report, so a counter declared in `gpu_sim` is
+//! emitted, profiled and pinned without touching this file.
 
 use cluster_bench::matrix::{drive_matrix, MatrixTotals};
 use cta_clustering::ClusterError;
-use gpu_sim::GpuConfig;
+use cta_obs::{need_str, need_u64, Json};
+use gpu_sim::{EngineMetrics, GpuConfig};
+use std::fmt::Display;
 use std::time::Instant;
-
-/// Largest skip-ratio drop tolerated by `--check` before it fails: the
-/// ratio is a structural property of the event-driven engine (fraction
-/// of cycles never stepped), deterministic for a fixed matrix, so any
-/// real movement beyond rounding noise means the engine regressed into
-/// cycle-stepping behavior.
-const SKIP_RATIO_TOLERANCE: f64 = 0.02;
 
 /// Wall-clock of the full request matrix at 1 thread on the cycle-stepped
 /// engine this bin's rework replaced (commit 2ceca1b, `fig12_speedup`).
@@ -52,7 +51,6 @@ fn main() -> Result<(), ClusterError> {
     let mut verbose = false;
     let mut ata_sweep = false;
     let mut profile = false;
-    let mut before = BASELINE_WALL_S;
     let mut out_path: Option<String> = None;
     let mut check_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
@@ -80,14 +78,6 @@ fn main() -> Result<(), ClusterError> {
                         .ok_or_else(|| ClusterError::harness("--check needs a path"))?,
                 );
             }
-            "--before" => {
-                let v = args
-                    .next()
-                    .ok_or_else(|| ClusterError::harness("--before needs a value"))?;
-                before = v
-                    .parse()
-                    .map_err(|e| ClusterError::harness(format!("--before {v:?}: {e}")))?;
-            }
             "--out" => {
                 out_path = Some(
                     args.next()
@@ -98,7 +88,7 @@ fn main() -> Result<(), ClusterError> {
                 return Err(ClusterError::harness(format!(
                     "unknown argument {other:?}; usage: \
                      sim_core [--reduced] [--verbose] [--arch ata] [--profile] \
-                     [--check <path>] [--before <s>] [--out <path>]"
+                     [--check <path>] [--out <path>]"
                 )))
             }
         }
@@ -132,27 +122,18 @@ fn main() -> Result<(), ClusterError> {
                 );
             }
             if profile {
-                let w = &metrics.work;
+                let fields: Vec<String> = metrics
+                    .counters()
+                    .into_iter()
+                    .chain(metrics.work.counters())
+                    .map(|(name, value)| format!("{name}={value}"))
+                    .collect();
                 eprintln!(
-                    "profile {}/{}/{}: coalesce {} (contig {} sorted {} div {}) \
-                     l1 chunks {} victims {} conflicts {} \
-                     l2 chunks {} victims {} conflicts {} \
-                     heaps ready {} sm {}",
+                    "profile {}/{}/{}: {}",
                     plan.cfg.name,
                     plan.info.abbr,
                     req.label(),
-                    w.coalesce_calls,
-                    w.coalesce_contiguous,
-                    w.coalesce_sorted,
-                    w.coalesce_divergent,
-                    w.l1.tag_chunks,
-                    w.l1.victim_ways,
-                    w.l1.set_conflicts,
-                    w.l2.tag_chunks,
-                    w.l2.victim_ways,
-                    w.l2.set_conflicts,
-                    w.ready_heap_pushes,
-                    w.sm_heap_pushes,
+                    fields.join(" ")
                 );
             }
         },
@@ -185,41 +166,36 @@ fn main() -> Result<(), ClusterError> {
     let wall_s = t0.elapsed().as_secs_f64();
 
     let (runs, violations) = (totals.runs, totals.violations);
-    let (cache_hits, cache_fills) = (totals.cache_hits, totals.cache_fills);
     let total = &totals.engine;
-    let skip_ratio = totals.skip_ratio();
-    let hit_rate = totals.cache_hit_rate();
+    let mode = if reduced { "reduced" } else { "full" };
     let baseline = if reduced {
         "null".to_string()
     } else {
         format!(
             "{{\"commit\": \"{BASELINE_COMMIT}\", \"wall_s\": {BASELINE_WALL_S}, \"speedup\": {:.2}}}",
-            before / wall_s
+            BASELINE_WALL_S / wall_s
         )
     };
-    let work = &total.work;
+    // `skip_ratio` is derived from `issues` and `cycles_skipped` and
+    // printed right after the latter.
+    let mut engine = Vec::new();
+    for (name, value) in total.counters() {
+        let skipped = name == "cycles_skipped";
+        engine.push((name, value.to_string()));
+        if skipped {
+            engine.push(("skip_ratio".into(), format!("{:.4}", totals.skip_ratio())));
+        }
+    }
+    let program_cache = [
+        ("hits", totals.cache_hits.to_string()),
+        ("fills", totals.cache_fills.to_string()),
+        ("hit_rate", format!("{:.4}", totals.cache_hit_rate())),
+    ];
     let json = format!(
-        "{{\n  \"format\": \"sim-core-bench/v1\",\n  \"mode\": \"{mode}\",\n  \"runs\": {runs},\n  \"wall_s\": {wall_s:.2},\n  \"baseline\": {baseline},\n  \"conservation_violations\": {violations},\n  \"engine\": {{\n    \"events\": {events},\n    \"issues\": {issues},\n    \"cycles_skipped\": {skipped},\n    \"skip_ratio\": {skip_ratio:.4},\n    \"warps_dispatched\": {warps},\n    \"warp_retires\": {warp_retires},\n    \"cta_retires\": {cta_retires},\n    \"dispatch_polls\": {polls}\n  }},\n  \"work_model\": {{\n    \"coalesce_calls\": {co_calls},\n    \"coalesce_contiguous\": {co_contig},\n    \"coalesce_sorted\": {co_sorted},\n    \"coalesce_divergent\": {co_div},\n    \"l1_tag_chunks\": {l1_chunks},\n    \"l1_victim_ways\": {l1_victims},\n    \"l1_set_conflicts\": {l1_conflicts},\n    \"l2_tag_chunks\": {l2_chunks},\n    \"l2_victim_ways\": {l2_victims},\n    \"l2_set_conflicts\": {l2_conflicts},\n    \"ready_heap_pushes\": {ready_pushes},\n    \"sm_heap_pushes\": {sm_pushes}\n  }},\n  \"program_cache\": {{\n    \"hits\": {cache_hits},\n    \"fills\": {cache_fills},\n    \"hit_rate\": {hit_rate:.4}\n  }},\n  \"ata\": {ata_json}\n}}",
-        mode = if reduced { "reduced" } else { "full" },
-        events = total.events,
-        issues = total.issues,
-        skipped = total.cycles_skipped,
-        warps = total.warps_dispatched,
-        warp_retires = total.warp_retires,
-        cta_retires = total.cta_retires,
-        polls = total.dispatch_polls,
-        co_calls = work.coalesce_calls,
-        co_contig = work.coalesce_contiguous,
-        co_sorted = work.coalesce_sorted,
-        co_div = work.coalesce_divergent,
-        l1_chunks = work.l1.tag_chunks,
-        l1_victims = work.l1.victim_ways,
-        l1_conflicts = work.l1.set_conflicts,
-        l2_chunks = work.l2.tag_chunks,
-        l2_victims = work.l2.victim_ways,
-        l2_conflicts = work.l2.set_conflicts,
-        ready_pushes = work.ready_heap_pushes,
-        sm_pushes = work.sm_heap_pushes,
+        "{{\n  \"format\": \"sim-core-bench/v1\",\n  \"mode\": \"{mode}\",\n  \"runs\": {runs},\n  \"wall_s\": {wall_s:.2},\n  \"baseline\": {baseline},\n  \"conservation_violations\": {violations},\n  \"engine\": {},\n  \"work_model\": {},\n  \"program_cache\": {},\n  \"ata\": {ata_json}\n}}",
+        section(engine),
+        section(total.work.counters()),
+        section(program_cache),
     );
     println!("{json}");
     if let Some(path) = out_path {
@@ -230,15 +206,10 @@ fn main() -> Result<(), ClusterError> {
     if let Some(path) = &check_path {
         let committed = std::fs::read_to_string(path)
             .map_err(|e| ClusterError::harness(format!("reading {path}: {e}")))?;
-        check_failed = !diff_against_committed(
-            &committed,
-            path,
-            if reduced { "reduced" } else { "full" },
-            runs,
-            violations,
-            skip_ratio,
-            work,
-        )?;
+        let committed = cta_obs::parse_json(&committed)
+            .map_err(|e| ClusterError::harness(format!("{path}: {e}")))?;
+        check_failed = !diff_against_committed(&committed, mode, runs, violations, total)
+            .map_err(|e| ClusterError::harness(format!("{path}: {e}")))?;
     }
     if violations > 0 {
         eprintln!("sim_core: {violations} conservation violation(s)");
@@ -250,46 +221,45 @@ fn main() -> Result<(), ClusterError> {
     Ok(())
 }
 
-/// Compares the fresh run against a committed `sim-core-bench/v1`
-/// document and reports each criterion on stderr. Returns `false` (and
-/// logs `FAIL` lines) on any regression:
+/// Renders `(key, raw JSON value)` pairs as one indented JSON object.
+fn section<K: Display, V: Display>(fields: impl IntoIterator<Item = (K, V)>) -> String {
+    let lines: Vec<String> = fields
+        .into_iter()
+        .map(|(key, value)| format!("    \"{key}\": {value}"))
+        .collect();
+    format!("{{\n{}\n  }}", lines.join(",\n"))
+}
+
+/// Compares the fresh run against a parsed `sim-core-bench/v1` document
+/// and reports each criterion on stderr. Returns `false` (and logs
+/// `FAIL` lines) on any regression:
 ///
 /// * the committed artifact itself must be violation-free and of the
 ///   same mode — otherwise the comparison is meaningless;
 /// * the fresh run count must equal the committed one (the matrix
 ///   changed without regenerating the artifact);
 /// * the fresh run must have zero conservation violations;
-/// * the skip ratio may not drop more than [`SKIP_RATIO_TOLERANCE`]
-///   below the committed value (the engine regressed toward
-///   cycle-stepping);
-/// * every `work_model` counter must match the committed value
-///   *exactly* — the matrix is deterministic, so the counters are too,
-///   and any drift means the coalescer, cache probe/victim scans or
-///   event heaps are doing different work than the committed baseline.
-///   This is the regression gate wall-clock is too noisy to provide.
+/// * every counter `EngineMetrics::counters` lists must equal
+///   `engine.<name>` and every counter `WorkModel::counters` lists must
+///   equal `work_model.<name>` *exactly* — the matrix is deterministic,
+///   so the counters are too, and any drift means the engine, the
+///   coalescer, the cache probe/victim scans or the event heaps do
+///   different work than the committed baseline. This is the regression
+///   gate wall-clock is too noisy to provide. (`engine.skip_ratio` is a
+///   function of the pinned `issues` and `cycles_skipped`.)
 ///
 /// Wall-clock is deliberately *not* gated: CI machines vary too much
-/// for a hard threshold; the skip ratio and the exact work-model
-/// counters are the portable proxies.
-#[allow(clippy::too_many_arguments)]
+/// for a hard threshold.
 fn diff_against_committed(
-    committed: &str,
-    path: &str,
+    committed: &Json,
     mode: &str,
     runs: u64,
     violations: u64,
-    skip_ratio: f64,
-    work: &gpu_sim::WorkModel,
-) -> Result<bool, ClusterError> {
-    let field = |key: &str| {
-        json_number(committed, key)
-            .ok_or_else(|| ClusterError::harness(format!("{path}: missing \"{key}\"")))
-    };
-    let committed_mode = json_string(committed, "mode")
-        .ok_or_else(|| ClusterError::harness(format!("{path}: missing \"mode\"")))?;
-    let committed_runs = field("runs")? as u64;
-    let committed_violations = field("conservation_violations")? as u64;
-    let committed_skip = field("skip_ratio")?;
+    engine: &EngineMetrics,
+) -> Result<bool, String> {
+    let committed_mode = need_str(committed, &["mode"])?;
+    let committed_runs = need_u64(committed, &["runs"])?;
+    let committed_violations = need_u64(committed, &["conservation_violations"])?;
     let mut ok = true;
     let mut report = |pass: bool, msg: String| {
         eprintln!(
@@ -314,61 +284,25 @@ fn diff_against_committed(
         violations == 0,
         format!("fresh violations == 0 (got {violations})"),
     );
-    report(
-        skip_ratio >= committed_skip - SKIP_RATIO_TOLERANCE,
-        format!(
-            "skip ratio {skip_ratio:.4} within {SKIP_RATIO_TOLERANCE} of committed {committed_skip:.4}"
-        ),
-    );
-    // Work-model counters: deterministic event counts, pinned exactly.
-    let fresh = [
-        ("coalesce_calls", work.coalesce_calls),
-        ("coalesce_contiguous", work.coalesce_contiguous),
-        ("coalesce_sorted", work.coalesce_sorted),
-        ("coalesce_divergent", work.coalesce_divergent),
-        ("l1_tag_chunks", work.l1.tag_chunks),
-        ("l1_victim_ways", work.l1.victim_ways),
-        ("l1_set_conflicts", work.l1.set_conflicts),
-        ("l2_tag_chunks", work.l2.tag_chunks),
-        ("l2_victim_ways", work.l2.victim_ways),
-        ("l2_set_conflicts", work.l2.set_conflicts),
-        ("ready_heap_pushes", work.ready_heap_pushes),
-        ("sm_heap_pushes", work.sm_heap_pushes),
-    ];
-    for (key, value) in fresh {
-        let pinned = field(key)? as u64;
-        report(
-            value == pinned,
-            format!("work_model {key} {value} == committed {pinned}"),
-        );
+    for (section, counters) in [
+        ("engine", engine.counters()),
+        ("work_model", engine.work.counters()),
+    ] {
+        for (name, value) in counters {
+            let pinned = need_u64(committed, &[section, &name])?;
+            report(
+                value == pinned,
+                format!("{section}.{name} {value} == committed {pinned}"),
+            );
+        }
     }
+    let conservation = engine.work.check_conservation();
     report(
-        work.check_conservation().is_ok(),
+        conservation.is_ok(),
         format!(
             "work_model conservation laws hold ({})",
-            work.check_conservation().err().unwrap_or("ok")
+            conservation.err().unwrap_or("ok")
         ),
     );
     Ok(ok)
-}
-
-/// First numeric value following `"key":` in a flat JSON document.
-/// Enough for the self-emitted `sim-core-bench/v1` format; not a general
-/// JSON parser (the workspace deliberately has no serde dependency).
-fn json_number(doc: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let rest = doc[doc.find(&pat)? + pat.len()..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// First string value following `"key":` in a flat JSON document.
-fn json_string(doc: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":");
-    let rest = doc[doc.find(&pat)? + pat.len()..]
-        .trim_start()
-        .strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
 }

@@ -625,7 +625,7 @@ impl AppPlan {
             out
         };
         stats.record_obs(obs, scope);
-        metrics.record_obs(obs, scope);
+        metrics.record_obs(obs, "engine/", scope);
         debug_assert_eq!(metrics.check_conservation(&stats), Ok(()), "{scope}");
         Ok(stats)
     }

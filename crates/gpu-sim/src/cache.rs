@@ -46,35 +46,37 @@ use crate::work::CacheWork;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 
-/// Per-level counters, updated on every access.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Read transactions presented to this level.
-    pub reads: u64,
-    /// Reads that hit a fully-arrived line.
-    pub read_hits: u64,
-    /// Reads that hit a line whose fill was still in flight (counted as
-    /// hits for hit-rate purposes, but latency extends to the fill).
-    pub read_reserved: u64,
-    /// Reads that missed and allocated.
-    pub read_misses: u64,
-    /// Write transactions presented to this level.
-    pub writes: u64,
-    /// Writes that hit (write-back levels only).
-    pub write_hits: u64,
-    /// Writes that missed.
-    pub write_misses: u64,
-    /// Lines invalidated by the write-evict policy.
-    pub write_evictions: u64,
-    /// Valid lines replaced by an allocating miss (capacity/conflict
-    /// evictions; dirty or clean).
-    pub evictions: u64,
-    /// Dirty lines written back on eviction.
-    pub writebacks: u64,
-    /// Misses that stalled for a free MSHR entry.
-    pub mshr_stalls: u64,
-    /// Total cycles spent in MSHR structural stalls.
-    pub mshr_wait_cycles: u64,
+cta_obs::counters! {
+    /// Per-level counters, updated on every access.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct CacheStats {
+        /// Read transactions presented to this level.
+        pub reads: u64,
+        /// Reads that hit a fully-arrived line.
+        pub read_hits: u64,
+        /// Reads that hit a line whose fill was still in flight (counted as
+        /// hits for hit-rate purposes, but latency extends to the fill).
+        pub read_reserved: u64,
+        /// Reads that missed and allocated.
+        pub read_misses: u64,
+        /// Write transactions presented to this level.
+        pub writes: u64,
+        /// Writes that hit (write-back levels only).
+        pub write_hits: u64,
+        /// Writes that missed.
+        pub write_misses: u64,
+        /// Lines invalidated by the write-evict policy.
+        pub write_evictions: u64,
+        /// Valid lines replaced by an allocating miss (capacity/conflict
+        /// evictions; dirty or clean).
+        pub evictions: u64,
+        /// Dirty lines written back on eviction.
+        pub writebacks: u64,
+        /// Misses that stalled for a free MSHR entry.
+        pub mshr_stalls: u64,
+        /// Total cycles spent in MSHR structural stalls.
+        pub mshr_wait_cycles: u64,
+    }
 }
 
 impl CacheStats {
@@ -98,22 +100,6 @@ impl CacheStats {
     /// clean/dirty split it forms with [`CacheStats::clean_evictions`].
     pub fn dirty_evictions(&self) -> u64 {
         self.writebacks
-    }
-
-    /// Merge another stats block into this one.
-    pub fn absorb(&mut self, other: &CacheStats) {
-        self.reads += other.reads;
-        self.read_hits += other.read_hits;
-        self.read_reserved += other.read_reserved;
-        self.read_misses += other.read_misses;
-        self.writes += other.writes;
-        self.write_hits += other.write_hits;
-        self.write_misses += other.write_misses;
-        self.write_evictions += other.write_evictions;
-        self.evictions += other.evictions;
-        self.writebacks += other.writebacks;
-        self.mshr_stalls += other.mshr_stalls;
-        self.mshr_wait_cycles += other.mshr_wait_cycles;
     }
 }
 

@@ -40,65 +40,42 @@ const DISPATCH_LATENCY: u64 = 25;
 /// Default deterministic seed for the hardware-like scheduler.
 const DEFAULT_SEED: u64 = 0xC1A0_0017;
 
-/// Engine-internal event accounting for one run. Purely observational:
-/// the counters never feed back into simulated behavior, so metered and
-/// unmetered runs produce identical [`RunStats`].
-///
-/// The fields obey conservation laws the harness checks in CI:
-/// `issues == RunStats::instructions`, `warp_retires ==
-/// warps_dispatched`, and `dispatch_polls == cta_retires ==
-/// placements.len()` (every freed CTA slot is polled exactly once).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineMetrics {
-    /// SM wake events processed (one per engine step).
-    pub events: u64,
-    /// Warp instructions issued.
-    pub issues: u64,
-    /// Idle cycles the issue clocks jumped over instead of polling:
-    /// `Σ (event_time - sm_clock)` at issue, the cycles a cycle-stepped
-    /// engine would have spun through.
-    pub cycles_skipped: u64,
-    /// Warps that entered an SM with a non-empty program.
-    pub warps_dispatched: u64,
-    /// Warps that ran their program to completion.
-    pub warp_retires: u64,
-    /// CTAs retired (equals the number of placements reported).
-    pub cta_retires: u64,
-    /// GigaThread dispatch polls consumed from freed CTA slots.
-    pub dispatch_polls: u64,
-    /// Deterministic work-model counters: the algorithmic work behind the
-    /// wall time (coalescer paths, tag-scan chunks, victim scans, heap
-    /// ops). See [`WorkModel`].
-    pub work: WorkModel,
+cta_obs::counters! {
+    /// Engine-internal event accounting for one run. Purely observational:
+    /// the counters never feed back into simulated behavior, so metered and
+    /// unmetered runs produce identical [`RunStats`].
+    ///
+    /// The fields obey conservation laws the harness checks in CI:
+    /// `issues == RunStats::instructions`, `warp_retires ==
+    /// warps_dispatched`, and `dispatch_polls == cta_retires ==
+    /// placements.len()` (every freed CTA slot is polled exactly once).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct EngineMetrics {
+        /// SM wake events processed (one per engine step).
+        pub events: u64,
+        /// Warp instructions issued.
+        pub issues: u64,
+        /// Idle cycles the issue clocks jumped over instead of polling:
+        /// `Σ (event_time - sm_clock)` at issue, the cycles a cycle-stepped
+        /// engine would have spun through.
+        pub cycles_skipped: u64,
+        /// Warps that entered an SM with a non-empty program.
+        pub warps_dispatched: u64,
+        /// Warps that ran their program to completion.
+        pub warp_retires: u64,
+        /// CTAs retired (equals the number of placements reported).
+        pub cta_retires: u64,
+        /// GigaThread dispatch polls consumed from freed CTA slots.
+        pub dispatch_polls: u64,
+        /// Deterministic work-model counters: the algorithmic work behind the
+        /// wall time (coalescer paths, tag-scan chunks, victim scans, heap
+        /// ops). See [`WorkModel`]. A section of its own: `record_obs`
+        /// exports it under `work/…`, and `counters()` leaves it out.
+        pub work: WorkModel => "work/",
+    }
 }
 
 impl EngineMetrics {
-    /// Emits the event counters onto a recorder under `{scope}` keys,
-    /// mirroring [`RunStats::record_obs`].
-    pub fn record_obs(&self, obs: &cta_obs::Obs, scope: &str) {
-        obs.counter("engine/events", scope, self.events);
-        obs.counter("engine/issues", scope, self.issues);
-        obs.counter("engine/cycles_skipped", scope, self.cycles_skipped);
-        obs.counter("engine/warps_dispatched", scope, self.warps_dispatched);
-        obs.counter("engine/warp_retires", scope, self.warp_retires);
-        obs.counter("engine/cta_retires", scope, self.cta_retires);
-        obs.counter("engine/dispatch_polls", scope, self.dispatch_polls);
-        self.work.record_obs(obs, scope);
-    }
-
-    /// Merge another run's accounting into this one, field by field
-    /// (the shape `bench`'s matrix totals accumulate).
-    pub fn absorb(&mut self, other: &EngineMetrics) {
-        self.events += other.events;
-        self.issues += other.issues;
-        self.cycles_skipped += other.cycles_skipped;
-        self.warps_dispatched += other.warps_dispatched;
-        self.warp_retires += other.warp_retires;
-        self.cta_retires += other.cta_retires;
-        self.dispatch_polls += other.dispatch_polls;
-        self.work.absorb(&other.work);
-    }
-
     /// Checks the engine's conservation laws against the finished run,
     /// returning the first violated law as `Err(description)`.
     ///

@@ -32,20 +32,22 @@ impl std::fmt::Display for Level {
     }
 }
 
-/// Device-level counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemoryStats {
-    /// Read transactions arriving at L2 (the paper's headline
-    /// `L1_L2 Read Trans` metric).
-    pub l2_read_txns: u64,
-    /// Write transactions arriving at L2.
-    pub l2_write_txns: u64,
-    /// Atomic transactions arriving at L2.
-    pub l2_atomic_txns: u64,
-    /// Read transactions issued to DRAM.
-    pub dram_reads: u64,
-    /// Write(-back) transactions issued to DRAM.
-    pub dram_writes: u64,
+cta_obs::counters! {
+    /// Device-level counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct MemoryStats {
+        /// Read transactions arriving at L2 (the paper's headline
+        /// `L1_L2 Read Trans` metric).
+        pub l2_read_txns: u64,
+        /// Write transactions arriving at L2.
+        pub l2_write_txns: u64,
+        /// Atomic transactions arriving at L2.
+        pub l2_atomic_txns: u64,
+        /// Read transactions issued to DRAM.
+        pub dram_reads: u64,
+        /// Write(-back) transactions issued to DRAM.
+        pub dram_writes: u64,
+    }
 }
 
 impl MemoryStats {

@@ -16,57 +16,53 @@
 
 use crate::coalesce::CoalesceShape;
 
-/// Work counters for one cache array (an L1 sector or an L2 bank),
-/// accumulated on the engine's access paths. Test-only helpers
-/// ([`crate::Cache::probe`]) do not count.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheWork {
-    /// Tag-compare chunks walked by probes (reads, writes and fill
-    /// fallbacks). Narrow rows (assoc ≤ 4) count one chunk per probe;
-    /// wide rows count one per four-way group examined, plus one if the
-    /// remainder tail was entered.
-    pub tag_chunks: u64,
-    /// Ways examined by victim scans (installs). The branchless scan
-    /// always ranks the full row, so this is `assoc` per install.
-    pub victim_ways: u64,
-    /// Installs that displaced a valid line (capacity/conflict misses —
-    /// the per-level view of [`crate::CacheStats::evictions`]).
-    pub set_conflicts: u64,
-}
-
-impl CacheWork {
-    /// Merge another array's counters into this one.
-    pub fn absorb(&mut self, other: &CacheWork) {
-        self.tag_chunks += other.tag_chunks;
-        self.victim_ways += other.victim_ways;
-        self.set_conflicts += other.set_conflicts;
+cta_obs::counters! {
+    /// Work counters for one cache array (an L1 sector or an L2 bank),
+    /// accumulated on the engine's access paths. Test-only helpers
+    /// ([`crate::Cache::probe`]) do not count.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct CacheWork {
+        /// Tag-compare chunks walked by probes (reads, writes and fill
+        /// fallbacks). Narrow rows (assoc ≤ 4) count one chunk per probe;
+        /// wide rows count one per four-way group examined, plus one if the
+        /// remainder tail was entered.
+        pub tag_chunks: u64,
+        /// Ways examined by victim scans (installs). The branchless scan
+        /// always ranks the full row, so this is `assoc` per install.
+        pub victim_ways: u64,
+        /// Installs that displaced a valid line (capacity/conflict misses —
+        /// the per-level view of [`crate::CacheStats::evictions`]).
+        pub set_conflicts: u64,
     }
 }
 
-/// The work model of one run: every counter the wall time of the
-/// simulator is made of, exact and deterministic. Lives alongside
-/// [`EngineMetrics`](crate::EngineMetrics)' event counters (and inside it
-/// as the `work` field) rather than in `RunStats`, whose `Debug` repr the
-/// golden differential tests hash.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkModel {
-    /// Coalescer invocations (one per memory-instruction × level the
-    /// engine coalesces; equals the sum of the three shape counters).
-    pub coalesce_calls: u64,
-    /// Accesses emitted on the contiguous fast path.
-    pub coalesce_contiguous: u64,
-    /// Accesses emitted on the sorted (strictly-increasing) path.
-    pub coalesce_sorted: u64,
-    /// Accesses that fell to the divergent dedup-set path.
-    pub coalesce_divergent: u64,
-    /// Work performed by the per-SM L1 sector arrays.
-    pub l1: CacheWork,
-    /// Work performed by the L2 banks.
-    pub l2: CacheWork,
-    /// Pushes onto per-SM ready/pending event heaps.
-    pub ready_heap_pushes: u64,
-    /// Pushes onto the global SM wake heap.
-    pub sm_heap_pushes: u64,
+cta_obs::counters! {
+    /// The work model of one run: every counter the wall time of the
+    /// simulator is made of, exact and deterministic. Lives alongside
+    /// [`EngineMetrics`](crate::EngineMetrics)' event counters (and inside it
+    /// as the `work` field) rather than in `RunStats`, whose `Debug` repr the
+    /// golden differential tests hash.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct WorkModel {
+        /// Coalescer invocations (one per memory-instruction × level the
+        /// engine coalesces; equals the sum of the three shape counters).
+        pub coalesce_calls: u64,
+        /// Accesses emitted on the contiguous fast path.
+        pub coalesce_contiguous: u64,
+        /// Accesses emitted on the sorted (strictly-increasing) path.
+        pub coalesce_sorted: u64,
+        /// Accesses that fell to the divergent dedup-set path.
+        pub coalesce_divergent: u64,
+        /// Work performed by the per-SM L1 sector arrays (listed as
+        /// `l1_tag_chunks`, `l1_victim_ways`, `l1_set_conflicts`).
+        pub l1: CacheWork,
+        /// Work performed by the L2 banks (listed as `l2_…`).
+        pub l2: CacheWork,
+        /// Pushes onto per-SM ready/pending event heaps.
+        pub ready_heap_pushes: u64,
+        /// Pushes onto the global SM wake heap.
+        pub sm_heap_pushes: u64,
+    }
 }
 
 impl WorkModel {
@@ -79,35 +75,6 @@ impl WorkModel {
             CoalesceShape::Sorted => self.coalesce_sorted += 1,
             CoalesceShape::Divergent => self.coalesce_divergent += 1,
         }
-    }
-
-    /// Merge another run's work model into this one.
-    pub fn absorb(&mut self, other: &WorkModel) {
-        self.coalesce_calls += other.coalesce_calls;
-        self.coalesce_contiguous += other.coalesce_contiguous;
-        self.coalesce_sorted += other.coalesce_sorted;
-        self.coalesce_divergent += other.coalesce_divergent;
-        self.l1.absorb(&other.l1);
-        self.l2.absorb(&other.l2);
-        self.ready_heap_pushes += other.ready_heap_pushes;
-        self.sm_heap_pushes += other.sm_heap_pushes;
-    }
-
-    /// Emits the work counters onto a recorder under `work/…` keys in the
-    /// `cta-obs/v1` schema, mirroring `EngineMetrics::record_obs`.
-    pub fn record_obs(&self, obs: &cta_obs::Obs, scope: &str) {
-        obs.counter("work/coalesce_calls", scope, self.coalesce_calls);
-        obs.counter("work/coalesce_contiguous", scope, self.coalesce_contiguous);
-        obs.counter("work/coalesce_sorted", scope, self.coalesce_sorted);
-        obs.counter("work/coalesce_divergent", scope, self.coalesce_divergent);
-        obs.counter("work/l1_tag_chunks", scope, self.l1.tag_chunks);
-        obs.counter("work/l1_victim_ways", scope, self.l1.victim_ways);
-        obs.counter("work/l1_set_conflicts", scope, self.l1.set_conflicts);
-        obs.counter("work/l2_tag_chunks", scope, self.l2.tag_chunks);
-        obs.counter("work/l2_victim_ways", scope, self.l2.victim_ways);
-        obs.counter("work/l2_set_conflicts", scope, self.l2.set_conflicts);
-        obs.counter("work/ready_heap_pushes", scope, self.ready_heap_pushes);
-        obs.counter("work/sm_heap_pushes", scope, self.sm_heap_pushes);
     }
 
     /// Checks the model's internal conservation laws, returning the first

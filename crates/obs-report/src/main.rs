@@ -19,7 +19,7 @@
 //! Exit status: **0** on success, **1** when `--check` (or the smoke
 //! run's self-check) finds an invalid export, **2** on usage errors.
 
-use cta_obs::{parse_json, render_chrome_trace, render_jsonl, validate, Json};
+use cta_obs::{need_str, need_u64, parse_json, render_chrome_trace, render_jsonl, validate, Json};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -116,52 +116,39 @@ struct Doc {
     errors: BTreeMap<(String, String), u64>,
 }
 
-fn need(obj: &Json, field: &str) -> Result<u64, String> {
-    obj.get(field)
-        .and_then(Json::as_u64)
-        .ok_or(format!("missing numeric field {field:?}"))
-}
-
-fn need_str(obj: &Json, field: &str) -> Result<String, String> {
-    Ok(obj
-        .get(field)
-        .and_then(Json::as_str)
-        .ok_or(format!("missing string field {field:?}"))?
-        .to_string())
-}
-
 fn parse_doc(text: &str) -> Result<Doc, String> {
     let mut doc = Doc::default();
     let mut lines = text.lines();
     let header = parse_json(lines.next().ok_or("empty document")?)?;
-    doc.bin = need_str(&header, "bin")?;
-    doc.dropped = need(&header, "dropped")?;
+    doc.bin = need_str(&header, &["bin"])?;
+    doc.dropped = need_u64(&header, &["dropped"])?;
     for (i, line) in lines.enumerate() {
         let obj = parse_json(line).map_err(|e| format!("line {}: {e}", i + 2))?;
         match obj.get("t").and_then(Json::as_str) {
             Some("counter") => {
                 let slot = doc
                     .counters
-                    .entry(need_str(&obj, "name")?)
+                    .entry(need_str(&obj, &["name"])?)
                     .or_insert((0, 0));
                 slot.0 += 1;
-                slot.1 += need(&obj, "value")?;
+                slot.1 += need_u64(&obj, &["value"])?;
             }
             Some("hist") => {
                 let slot = doc
                     .hists
-                    .entry(need_str(&obj, "name")?)
+                    .entry(need_str(&obj, &["name"])?)
                     .or_insert((0, 0, 0));
                 slot.0 += 1;
-                slot.1 += need(&obj, "count")?;
-                slot.2 += need(&obj, "sum")?;
+                slot.1 += need_u64(&obj, &["count"])?;
+                slot.2 += need_u64(&obj, &["sum"])?;
             }
             Some("span") => {
-                *doc.spans.entry(need_str(&obj, "name")?).or_insert(0) += need(&obj, "count")?;
+                *doc.spans.entry(need_str(&obj, &["name"])?).or_insert(0) +=
+                    need_u64(&obj, &["count"])?;
             }
             Some("error") => {
-                let key = (need_str(&obj, "kind")?, need_str(&obj, "name")?);
-                *doc.errors.entry(key).or_insert(0) += need(&obj, "count")?;
+                let key = (need_str(&obj, &["kind"])?, need_str(&obj, &["name"])?);
+                *doc.errors.entry(key).or_insert(0) += need_u64(&obj, &["count"])?;
             }
             other => return Err(format!("line {}: unknown type {other:?}", i + 2)),
         }

@@ -7,24 +7,8 @@
 //! and thread lanes, so it is *not* deterministic across runs — it is
 //! the flamegraph view, not the golden-file view.
 
-use crate::jsonl::TIME_PREFIX;
+use crate::jsonl::{json_escape, TIME_PREFIX};
 use crate::snapshot::Snapshot;
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Renders the snapshot's trace as Chrome `trace_event` JSON.
 ///
@@ -36,7 +20,7 @@ pub fn render_chrome_trace(snap: &Snapshot, process: &str) -> String {
     let mut events = Vec::new();
     events.push(format!(
         "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{{\"name\":\"{}\"}}}}",
-        escape(process)
+        json_escape(process)
     ));
     for span in &snap.trace {
         // trace_event timestamps are microseconds; keep sub-microsecond
@@ -45,7 +29,7 @@ pub fn render_chrome_trace(snap: &Snapshot, process: &str) -> String {
         let dur_us = ((span.end_ns - span.begin_ns) / 1_000).max(1);
         events.push(format!(
             "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":0,\"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{\"depth\":{}}}}}",
-            escape(&span.name),
+            json_escape(&span.name),
             span.thread,
             ts_us,
             dur_us,
@@ -63,7 +47,7 @@ pub fn render_chrome_trace(snap: &Snapshot, process: &str) -> String {
         };
         events.push(format!(
             "{{\"name\":\"{}\",\"ph\":\"C\",\"pid\":0,\"tid\":0,\"ts\":0,\"args\":{{\"ns\":{}}}}}",
-            escape(&label),
+            json_escape(&label),
             v
         ));
     }

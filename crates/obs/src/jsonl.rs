@@ -18,8 +18,11 @@ pub const SCHEMA: &str = "cta-obs/v1";
 /// Prefix marking wall-clock metrics excluded from deterministic export.
 pub const TIME_PREFIX: &str = "time/";
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Escapes a string for embedding in a JSON string literal: `"`, `\`
+/// and the control characters, with `\n`, `\r` and `\t` in their short
+/// forms and the rest as `\u00XX`. The workspace's one JSON escaper.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -57,7 +60,7 @@ pub fn render_jsonl(snap: &Snapshot, bin: &str) -> String {
     out.push_str(&format!(
         "{{\"schema\":\"{}\",\"bin\":\"{}\",\"counters\":{},\"hists\":{},\"spans\":{},\"errors\":{},\"dropped\":{}}}\n",
         SCHEMA,
-        escape(bin),
+        json_escape(bin),
         counters.len(),
         hists.len(),
         snap.spans.len(),
@@ -67,8 +70,8 @@ pub fn render_jsonl(snap: &Snapshot, bin: &str) -> String {
     for ((name, key), v) in counters {
         out.push_str(&format!(
             "{{\"t\":\"counter\",\"name\":\"{}\",\"key\":\"{}\",\"value\":{}}}\n",
-            escape(name),
-            escape(key),
+            json_escape(name),
+            json_escape(key),
             v
         ));
     }
@@ -80,8 +83,8 @@ pub fn render_jsonl(snap: &Snapshot, bin: &str) -> String {
             .collect();
         out.push_str(&format!(
             "{{\"t\":\"hist\",\"name\":\"{}\",\"key\":\"{}\",\"count\":{},\"sum\":{},\"buckets\":[{}]}}\n",
-            escape(name),
-            escape(key),
+            json_escape(name),
+            json_escape(key),
             h.count,
             h.sum,
             buckets.join(",")
@@ -94,7 +97,7 @@ pub fn render_jsonl(snap: &Snapshot, bin: &str) -> String {
     for (name, agg) in &snap.spans {
         out.push_str(&format!(
             "{{\"t\":\"span\",\"name\":\"{}\",\"count\":{}}}\n",
-            escape(name),
+            json_escape(name),
             agg.count
         ));
     }
@@ -102,7 +105,7 @@ pub fn render_jsonl(snap: &Snapshot, bin: &str) -> String {
         out.push_str(&format!(
             "{{\"t\":\"error\",\"kind\":\"{}\",\"name\":\"{}\",\"count\":{}}}\n",
             kind,
-            escape(name),
+            json_escape(name),
             count
         ));
     }
@@ -136,6 +139,11 @@ impl Json {
         }
     }
 
+    /// Nested field lookup: `doc.at(&["work_model", "l1_tag_chunks"])`.
+    pub fn at(&self, path: &[&str]) -> Option<&Json> {
+        path.iter().try_fold(self, |cur, key| cur.get(key))
+    }
+
     /// The value as a string slice, if it is one.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -146,6 +154,14 @@ impl Json {
 
     /// The value as `u64`, if it is an unsigned integer.
     pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Num(raw) => raw.parse().ok(),
+            _ => None,
+        }
+    }
+
+    /// The value as `f64`, if it is a number.
+    pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(raw) => raw.parse().ok(),
             _ => None,
@@ -360,10 +376,10 @@ pub fn validate(text: &str) -> Result<JsonlSummary, String> {
         return Err(format!("header schema is not {SCHEMA:?}"));
     }
     let declared = JsonlSummary {
-        counters: need_u64(&header, "counters")?,
-        hists: need_u64(&header, "hists")?,
-        spans: need_u64(&header, "spans")?,
-        errors: need_u64(&header, "errors")?,
+        counters: need_u64(&header, &["counters"])?,
+        hists: need_u64(&header, &["hists"])?,
+        spans: need_u64(&header, &["spans"])?,
+        errors: need_u64(&header, &["errors"])?,
     };
     let mut seen = JsonlSummary::default();
     // Section order and intra-section sort keys.
@@ -385,20 +401,20 @@ pub fn validate(text: &str) -> Result<JsonlSummary, String> {
         let rank = section_rank(&t).map_err(|e| format!("line {}: {e}", i + 1))?;
         let sort_key = match t.as_str() {
             "counter" | "hist" => {
-                let name = need_str(&obj, "name").map_err(|e| format!("line {}: {e}", i + 1))?;
+                let name = need_str(&obj, &["name"]).map_err(|e| format!("line {}: {e}", i + 1))?;
                 if name.starts_with(TIME_PREFIX) {
                     return Err(format!(
                         "line {}: wall-clock metric {name:?} in deterministic export",
                         i + 1
                     ));
                 }
-                let key = need_str(&obj, "key").map_err(|e| format!("line {}: {e}", i + 1))?;
+                let key = need_str(&obj, &["key"]).map_err(|e| format!("line {}: {e}", i + 1))?;
                 if t == "counter" {
-                    need_u64(&obj, "value").map_err(|e| format!("line {}: {e}", i + 1))?;
+                    need_u64(&obj, &["value"]).map_err(|e| format!("line {}: {e}", i + 1))?;
                     seen.counters += 1;
                 } else {
                     let count =
-                        need_u64(&obj, "count").map_err(|e| format!("line {}: {e}", i + 1))?;
+                        need_u64(&obj, &["count"]).map_err(|e| format!("line {}: {e}", i + 1))?;
                     let mass = bucket_mass(&obj).map_err(|e| format!("line {}: {e}", i + 1))?;
                     if mass != count {
                         return Err(format!(
@@ -411,14 +427,14 @@ pub fn validate(text: &str) -> Result<JsonlSummary, String> {
                 (name, key)
             }
             "span" => {
-                let name = need_str(&obj, "name").map_err(|e| format!("line {}: {e}", i + 1))?;
-                need_u64(&obj, "count").map_err(|e| format!("line {}: {e}", i + 1))?;
+                let name = need_str(&obj, &["name"]).map_err(|e| format!("line {}: {e}", i + 1))?;
+                need_u64(&obj, &["count"]).map_err(|e| format!("line {}: {e}", i + 1))?;
                 seen.spans += 1;
                 (name, String::new())
             }
             _ => {
-                let kind = need_str(&obj, "kind").map_err(|e| format!("line {}: {e}", i + 1))?;
-                let name = need_str(&obj, "name").map_err(|e| format!("line {}: {e}", i + 1))?;
+                let kind = need_str(&obj, &["kind"]).map_err(|e| format!("line {}: {e}", i + 1))?;
+                let name = need_str(&obj, &["name"]).map_err(|e| format!("line {}: {e}", i + 1))?;
                 seen.errors += 1;
                 (kind, name)
             }
@@ -438,17 +454,26 @@ pub fn validate(text: &str) -> Result<JsonlSummary, String> {
     Ok(seen)
 }
 
-fn need_str(obj: &Json, key: &str) -> Result<String, String> {
-    obj.get(key)
+/// The string at `path` (see [`Json::at`]), or an error naming the path.
+pub fn need_str(doc: &Json, path: &[&str]) -> Result<String, String> {
+    doc.at(path)
         .and_then(Json::as_str)
         .map(str::to_string)
-        .ok_or(format!("missing string field {key:?}"))
+        .ok_or_else(|| format!("missing string field {:?}", path.join(".")))
 }
 
-fn need_u64(obj: &Json, key: &str) -> Result<u64, String> {
-    obj.get(key)
+/// The unsigned integer at `path`, or an error naming the path.
+pub fn need_u64(doc: &Json, path: &[&str]) -> Result<u64, String> {
+    doc.at(path)
         .and_then(Json::as_u64)
-        .ok_or(format!("missing integer field {key:?}"))
+        .ok_or_else(|| format!("missing integer field {:?}", path.join(".")))
+}
+
+/// The number at `path` as `f64`, or an error naming the path.
+pub fn need_f64(doc: &Json, path: &[&str]) -> Result<f64, String> {
+    doc.at(path)
+        .and_then(Json::as_f64)
+        .ok_or_else(|| format!("missing number field {:?}", path.join(".")))
 }
 
 fn bucket_mass(obj: &Json) -> Result<u64, String> {
@@ -521,6 +546,31 @@ mod tests {
         assert_eq!(v.get("c").unwrap().as_u64(), Some(u64::MAX));
         assert!(parse_json("{\"a\":}").is_err());
         assert!(parse_json("[1,2],").is_err());
+    }
+
+    #[test]
+    fn escape_round_trips_through_the_parser() {
+        let mut text: String = (0u8..0x20).map(char::from).collect();
+        text.push_str("\"\\/ plain é\u{1F600}");
+        let doc = format!("\"{}\"", json_escape(&text));
+        assert_eq!(parse_json(&doc).unwrap().as_str(), Some(text.as_str()));
+        assert_eq!(json_escape("a\"b\\c\nd"), r#"a\"b\\c\nd"#);
+        assert_eq!(json_escape("\u{1}\t"), r"\u0001\t");
+    }
+
+    #[test]
+    fn path_lookup_and_accessors() {
+        let doc = parse_json(r#"{"a":{"b":7,"s":"x","f":0.5}}"#).unwrap();
+        assert_eq!(doc.at(&["a", "b"]), Some(&Json::Num("7".into())));
+        assert_eq!(doc.at(&[]), Some(&doc));
+        assert_eq!(need_u64(&doc, &["a", "b"]), Ok(7));
+        assert_eq!(need_str(&doc, &["a", "s"]).as_deref(), Ok("x"));
+        assert_eq!(need_f64(&doc, &["a", "f"]), Ok(0.5));
+        assert_eq!(
+            need_u64(&doc, &["a", "s"]),
+            Err(r#"missing integer field "a.s""#.to_string())
+        );
+        assert!(need_str(&doc, &["a", "zz"]).is_err());
     }
 
     #[test]

@@ -43,6 +43,7 @@
 #![warn(missing_docs)]
 
 mod chrome;
+mod counters;
 mod hist;
 mod jsonl;
 mod recorder;
@@ -50,7 +51,10 @@ mod snapshot;
 
 pub use chrome::render_chrome_trace;
 pub use hist::{bucket_of, bucket_range, Hist};
-pub use jsonl::{parse_json, render_jsonl, validate, Json, JsonlSummary, SCHEMA, TIME_PREFIX};
+pub use jsonl::{
+    json_escape, need_f64, need_str, need_u64, parse_json, render_jsonl, validate, Json,
+    JsonlSummary, SCHEMA, TIME_PREFIX,
+};
 pub use recorder::{Obs, SpanEvent, SpanGuard, SpanKind, DEFAULT_RING_CAPACITY};
 pub use snapshot::{ObsError, Snapshot, SpanAgg, TraceSpan};
 

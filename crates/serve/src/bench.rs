@@ -18,7 +18,7 @@
 //! * latency quantiles are present and monotone.
 
 use crate::server::{Server, ServerConfig};
-use cta_obs::Hist;
+use cta_obs::{need_f64, Hist};
 use std::time::Instant;
 
 /// Minimum sustained throughput the committed artifact must show.
@@ -159,21 +159,6 @@ pub fn render_report(r: &BenchReport) -> String {
     )
 }
 
-fn field_f64(doc: &cta_obs::Json, path: &[&str]) -> Result<f64, String> {
-    let mut cur = doc;
-    for key in path {
-        cur = cur
-            .get(key)
-            .ok_or_else(|| format!("missing field {}", path.join(".")))?;
-    }
-    match cur {
-        cta_obs::Json::Num(raw) => raw
-            .parse()
-            .map_err(|_| format!("{} is not a number", path.join("."))),
-        _ => Err(format!("{} is not a number", path.join("."))),
-    }
-}
-
 /// Validates a committed `serve-bench/v1` artifact: schema, cache
 /// conservation laws, and the throughput / hit-rate floors. Pure check
 /// of the recorded run — nothing is re-measured.
@@ -186,13 +171,13 @@ pub fn check_report(text: &str) -> Result<(), String> {
     if doc.get("schema").and_then(|s| s.as_str()) != Some("serve-bench/v1") {
         return Err("schema must be \"serve-bench/v1\"".into());
     }
-    let requests = field_f64(&doc, &["requests"])?;
-    let distinct = field_f64(&doc, &["distinct"])?;
-    let lookups = field_f64(&doc, &["cache", "lookups"])?;
-    let hits = field_f64(&doc, &["cache", "hits"])?;
-    let misses = field_f64(&doc, &["cache", "misses"])?;
-    let hit_rate = field_f64(&doc, &["cache", "hit_rate"])?;
-    let req_per_s = field_f64(&doc, &["req_per_s"])?;
+    let requests = need_f64(&doc, &["requests"])?;
+    let distinct = need_f64(&doc, &["distinct"])?;
+    let lookups = need_f64(&doc, &["cache", "lookups"])?;
+    let hits = need_f64(&doc, &["cache", "hits"])?;
+    let misses = need_f64(&doc, &["cache", "misses"])?;
+    let hit_rate = need_f64(&doc, &["cache", "hit_rate"])?;
+    let req_per_s = need_f64(&doc, &["req_per_s"])?;
     if hits + misses != lookups {
         return Err(format!(
             "cache conservation violated: {hits} hits + {misses} misses != {lookups} lookups"
@@ -218,9 +203,9 @@ pub fn check_report(text: &str) -> Result<(), String> {
             "throughput {req_per_s} req/s below the {MIN_REQ_PER_S} floor"
         ));
     }
-    let p50 = field_f64(&doc, &["latency_us", "p50"])?;
-    let p90 = field_f64(&doc, &["latency_us", "p90"])?;
-    let p99 = field_f64(&doc, &["latency_us", "p99"])?;
+    let p50 = need_f64(&doc, &["latency_us", "p50"])?;
+    let p90 = need_f64(&doc, &["latency_us", "p90"])?;
+    let p99 = need_f64(&doc, &["latency_us", "p99"])?;
     if !(p50 <= p90 && p90 <= p99) {
         return Err(format!("latency quantiles not monotone: {p50} {p90} {p99}"));
     }

@@ -444,22 +444,7 @@ pub fn parse_request(line: &str) -> Result<Request, (String, ProtoError)> {
     })
 }
 
-/// Escapes a string for embedding in a JSON document.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+pub use cta_obs::json_escape;
 
 /// Renders an error response line (no trailing newline).
 pub fn render_error(id: &str, err: &ProtoError, retry_after_ms: Option<u64>) -> String {
