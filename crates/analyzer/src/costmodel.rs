@@ -48,10 +48,6 @@ pub struct CostVerdict {
     pub interval: HitInterval,
     /// Cacheable read transactions (== the simulator's `l1.reads`).
     pub reads: u64,
-    /// Distinct lines named by cacheable reads.
-    pub read_working_set: u64,
-    /// Mean LRU stack distance of the read stream, if any reuse exists.
-    pub mean_distance: Option<f64>,
 }
 
 /// Runs the abstract interpretation over `kernel` and appends any CL2xx
@@ -118,8 +114,6 @@ pub fn check_summary(
     }
     CostVerdict {
         reads: iv.reads,
-        read_working_set: summary.read_working_set(),
-        mean_distance: summary.mean_distance(),
         interval: iv,
     }
 }
@@ -257,7 +251,6 @@ mod tests {
         assert_eq!(codes(&r), vec!["CL201"]);
         assert!(v.interval.hi > 0.0, "reuse exists, CL202 must not apply");
         assert!(v.interval.hi < THRASH_HI);
-        assert!(v.mean_distance.unwrap() > 4.0);
     }
 
     #[test]

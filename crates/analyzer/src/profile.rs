@@ -45,17 +45,10 @@ pub struct StaticProfile {
     pub accesses: u64,
 }
 
-/// Word-reuse-rate ceiling for a bypass candidate (mirrors the dynamic
-/// `streaming_tags` threshold).
-const STREAM_WORD_REUSE_MAX: f64 = 0.02;
-
 /// Line-reuse-share ceiling for a bypass candidate. Stricter than the
 /// `CL021` firing threshold (0.25) so selection and lint cannot flap on
 /// borderline tags.
 const STREAM_LINE_REUSE_MAX: f64 = 0.10;
-
-/// Minimum word accesses before a tag is considered at all.
-const STREAM_MIN_ACCESSES: u64 = 64;
 
 impl StaticProfile {
     /// Walks `kernel`'s warp programs under `cfg`'s geometry and builds
@@ -138,24 +131,22 @@ impl StaticProfile {
         &self.written_tags
     }
 
-    /// Statically derived bypass candidates: heavily-accessed tags with
-    /// neither word reuse (under 2%) nor line reuse (under 10%). The
-    /// double criterion keeps cache-line-sourced reuse — invisible to the
-    /// word-level test — out of the bypass set, which is exactly what
-    /// lint `CL021` would flag.
+    /// The word-level streaming set ([`TagReuseProfiler::streaming_tags`]
+    /// over the walked stream): the bypass set `cta-serve` plans and the
+    /// harness runs. The same profiler over the same walk as
+    /// `Framework::streaming_tags_static` on this GPU, so the same tags.
+    pub fn word_streaming_tags(&self) -> Vec<ArrayTag> {
+        self.tags.streaming_tags()
+    }
+
+    /// The analyzer's stricter bypass candidates: the word-level set minus
+    /// tags whose line-reuse share is at least 10%. The line criterion
+    /// keeps cache-line-sourced reuse — invisible to the word-level test —
+    /// out of the bypass set, which is exactly what lint `CL021` would
+    /// flag.
     pub fn streaming_tags(&self) -> Vec<ArrayTag> {
-        let mut v: Vec<ArrayTag> = self
-            .tags
-            .summaries()
-            .into_iter()
-            .filter(|(t, s)| {
-                s.accesses >= STREAM_MIN_ACCESSES
-                    && s.reuse_rate() < STREAM_WORD_REUSE_MAX
-                    && self.tag_line_stats(*t).line_reuse_share() < STREAM_LINE_REUSE_MAX
-            })
-            .map(|(t, _)| t)
-            .collect();
-        v.sort_unstable();
+        let mut v = self.word_streaming_tags();
+        v.retain(|&t| self.tag_line_stats(t).line_reuse_share() < STREAM_LINE_REUSE_MAX);
         v
     }
 }
@@ -197,6 +188,7 @@ mod tests {
         assert!(p.tag_summary(0).reuse_rate() > 0.5);
         assert!(p.tag_summary(2).reuse_rate() < 0.02);
         assert!(p.tag_line_stats(2).line_reuse_share() > 0.5);
+        assert_eq!(p.word_streaming_tags(), vec![1, 2]);
         assert_eq!(p.streaming_tags(), vec![1]);
         assert_eq!(p.tags(), vec![0, 1, 2]);
     }

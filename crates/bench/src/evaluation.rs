@@ -1,10 +1,11 @@
-//! The Figure 12 / Figure 13 evaluation matrix: all Table 2 applications
-//! under all optimization variants on all four architectures.
+//! The Figure 12 / Figure 13 evaluation results: every Table 2
+//! application under every optimization variant, grouped per
+//! architecture and aggregated per figure panel. [`crate::evaluate_matrix`]
+//! runs the matrix.
 
-use crate::runner::{evaluate_app, AppEvaluation, Variant};
-use cta_clustering::ClusterError;
+use crate::runner::{AppEvaluation, Variant};
 use gpu_kernels::PaperCategory;
-use gpu_sim::{geometric_mean, ArchGen, GpuConfig};
+use gpu_sim::{geometric_mean, ArchGen};
 
 /// The paper's three figure panels per architecture.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -77,48 +78,6 @@ impl ArchEvaluation {
                 .map(|a| a.l2_norm(variant).max(1e-9)),
         )
     }
-
-    /// The best clustering variant per app (how the paper summarizes its
-    /// headline speedups: the framework picks the right transform).
-    pub fn best_clustering_speedup(&self, app: &AppEvaluation) -> f64 {
-        [
-            Variant::Clustering,
-            Variant::ClusteringThrottled,
-            Variant::ClusteringThrottledBypass,
-        ]
-        .iter()
-        .map(|&v| app.speedup(v))
-        .fold(f64::MIN, f64::max)
-    }
-}
-
-/// Runs the full evaluation matrix for one GPU.
-///
-/// # Errors
-///
-/// Propagates the first app-evaluation failure.
-pub fn evaluate_arch(cfg: &GpuConfig) -> Result<ArchEvaluation, ClusterError> {
-    let apps = gpu_kernels::suite::table2_suite(cfg.arch)
-        .into_iter()
-        .map(|w| evaluate_app(cfg, w))
-        .collect::<Result<_, _>>()?;
-    Ok(ArchEvaluation {
-        gpu: cfg.name.clone(),
-        arch: cfg.arch,
-        apps,
-    })
-}
-
-/// Runs the evaluation on all four Table 1 platforms.
-///
-/// # Errors
-///
-/// Propagates the first app-evaluation failure.
-pub fn evaluate_all() -> Result<Vec<ArchEvaluation>, ClusterError> {
-    gpu_sim::arch::all_presets()
-        .iter()
-        .map(evaluate_arch)
-        .collect()
 }
 
 #[cfg(test)]

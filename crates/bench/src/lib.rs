@@ -27,10 +27,10 @@ pub mod runner;
 pub mod sweep;
 pub mod tables;
 
-pub use evaluation::{evaluate_all, evaluate_arch, ArchEvaluation, Panel};
+pub use evaluation::{ArchEvaluation, Panel};
 pub use matrix::{drive_matrix, AtaSummary, MatrixTotals};
 pub use par::{
-    configured_threads, evaluate_all_par, evaluate_apps_par, evaluate_arch_par, evaluate_matrix,
-    tune_allocator, with_obs, RunClock,
+    configured_threads, evaluate_apps_par, evaluate_arch_par, evaluate_matrix, tune_allocator,
+    with_obs, RunClock,
 };
 pub use runner::{evaluate_app, AppEvaluation, AppPlan, SharedKernel, SimRequest, Variant};

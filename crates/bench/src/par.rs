@@ -124,8 +124,8 @@ where
 }
 
 /// Runs the full evaluation matrix for the given GPUs across `threads`
-/// workers, producing exactly what mapping
-/// [`crate::evaluate_arch`] over `cfgs` produces.
+/// workers, producing for each GPU exactly what serially mapping
+/// [`crate::evaluate_app`] over its Table 2 suite produces.
 ///
 /// Two fan-out phases: phase A runs every simulation whose inputs are
 /// known up front (baseline, RD, CLU, and each throttle-sweep candidate,
@@ -268,7 +268,7 @@ fn run_plans(
         .collect())
 }
 
-/// Parallel counterpart of [`crate::evaluate_arch`].
+/// [`evaluate_matrix`] for one GPU: its Table 2 suite, in suite order.
 ///
 /// # Errors
 ///
@@ -277,15 +277,6 @@ pub fn evaluate_arch_par(cfg: &GpuConfig, threads: usize) -> Result<ArchEvaluati
     Ok(evaluate_matrix(std::slice::from_ref(cfg), threads)?
         .pop()
         .expect("one arch in, one evaluation out"))
-}
-
-/// Parallel counterpart of [`crate::evaluate_all`].
-///
-/// # Errors
-///
-/// Propagates the first [`AppPlan::run`] failure.
-pub fn evaluate_all_par(threads: usize) -> Result<Vec<ArchEvaluation>, ClusterError> {
-    evaluate_matrix(&gpu_sim::arch::all_presets(), threads)
 }
 
 /// Tunes glibc's allocator for the harness's allocation pattern.

@@ -21,10 +21,6 @@ use locality::{
 
 use gpu_sim::{occupancy, AccessEvent, ArrayTag, GpuConfig, KernelSpec, Simulation, TraceSink};
 
-/// Minimum word accesses before an array's reuse rate is trusted enough
-/// to call it streaming (§4.3-(II) bypass candidate selection).
-const STREAMING_MIN_ACCESSES: u64 = 64;
-
 /// Clamps a requested `ACTIVE_AGENTS` into the valid throttle range
 /// `1..=max_agents`.
 ///
@@ -191,7 +187,7 @@ impl Framework {
             }
         }
 
-        let streaming_tags: Vec<ArrayTag> = sinks.tags.streaming_tags(STREAMING_MIN_ACCESSES);
+        let streaming_tags: Vec<ArrayTag> = sinks.tags.streaming_tags();
 
         let category = sinks.category.classify();
         if let Some(obs) = cta_obs::maybe_global() {
@@ -229,7 +225,7 @@ impl Framework {
     {
         let mut tags = TagReuseProfiler::new();
         Simulation::new(self.cfg.clone(), kernel).run_traced(&mut tags)?;
-        Ok(tags.streaming_tags(STREAMING_MIN_ACCESSES))
+        Ok(tags.streaming_tags())
     }
 
     /// [`streaming_tags`](Self::streaming_tags) computed by statically
@@ -258,7 +254,7 @@ impl Framework {
                 tags.op(ctx.cta, ctx.sm_id, warp, op);
             }
         });
-        tags.into_inner().streaming_tags(STREAMING_MIN_ACCESSES)
+        tags.into_inner().streaming_tags()
     }
 
     /// Derives the optimization plan from an analysis (Figure 5).

@@ -66,7 +66,6 @@ mod config;
 mod dim;
 mod engine;
 mod error;
-pub mod export;
 pub mod fasthash;
 mod kernel;
 mod memory;

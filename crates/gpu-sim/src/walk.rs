@@ -15,9 +15,7 @@
 //! simulation, so whole-suite sweeps stay cheap.
 
 use crate::config::GpuConfig;
-use crate::fasthash::{FxHashMap, FxHashSet};
-use crate::kernel::{ArrayTag, CtaContext, KernelSpec, MemAccess, Op, Program};
-use std::collections::BTreeMap;
+use crate::kernel::{CtaContext, KernelSpec, MemAccess, Op, Program};
 
 /// How one op participates in synchronization and conflict analysis.
 ///
@@ -119,149 +117,6 @@ where
     each_warp_program(kernel, cfg.num_sms, cfg.warp_size, f);
 }
 
-/// Static per-array access profile, gathered in one IR walk.
-///
-/// One profile per [`ArrayTag`] a kernel names: op and lane counts by
-/// access kind, the array's footprint in cache lines, its address range,
-/// and the dominant intra-warp lane stride — the inputs a cost model
-/// needs to classify an array as streaming, strided or irregular without
-/// running the timing model.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TagProfile {
-    /// Warp-level load ops naming this tag (any cache op, incl. bypass).
-    pub reads: u64,
-    /// Warp-level store ops naming this tag.
-    pub writes: u64,
-    /// Warp-level atomic ops naming this tag.
-    pub atomics: u64,
-    /// Active lanes summed over all ops (addresses presented).
-    pub lanes: u64,
-    /// Distinct lines touched, at the line size the walk was given.
-    pub footprint_lines: u64,
-    /// Lowest byte address presented.
-    pub min_addr: u64,
-    /// Highest byte address presented.
-    pub max_addr: u64,
-    /// The most frequent stride between adjacent active lanes of one
-    /// access, in bytes; `None` when no access had two active lanes.
-    /// Ties break toward the smallest magnitude, then negative first.
-    pub dominant_stride: Option<i64>,
-    /// Whether every adjacent-lane pair exhibited the dominant stride —
-    /// `true` means perfectly regular (coalesced if the stride is small).
-    pub stride_uniform: bool,
-}
-
-impl TagProfile {
-    /// Total warp-level ops naming this tag.
-    pub fn ops(&self) -> u64 {
-        self.reads + self.writes + self.atomics
-    }
-
-    /// Footprint in bytes (line granular).
-    pub fn footprint_bytes(&self, line_bytes: u32) -> u64 {
-        self.footprint_lines * line_bytes as u64
-    }
-}
-
-/// Accumulating form of [`TagProfile`]: sets/histograms before collapse.
-#[derive(Debug, Default)]
-struct TagAcc {
-    reads: u64,
-    writes: u64,
-    atomics: u64,
-    lanes: u64,
-    lines: FxHashSet<u64>,
-    min_addr: u64,
-    max_addr: u64,
-    any: bool,
-    strides: FxHashMap<i64, u64>,
-}
-
-impl TagAcc {
-    fn absorb(&mut self, a: &MemAccess, line_shift: u32) {
-        self.lanes += a.addrs.len() as u64;
-        for &addr in &a.addrs {
-            self.lines.insert(addr >> line_shift);
-            if !self.any {
-                self.min_addr = addr;
-                self.max_addr = addr;
-                self.any = true;
-            } else {
-                self.min_addr = self.min_addr.min(addr);
-                self.max_addr = self.max_addr.max(addr);
-            }
-        }
-        for pair in a.addrs.windows(2) {
-            let stride = pair[1] as i64 - pair[0] as i64;
-            *self.strides.entry(stride).or_insert(0) += 1;
-        }
-    }
-
-    fn finish(self) -> TagProfile {
-        let total_pairs: u64 = self.strides.values().sum();
-        // Deterministic dominant pick: count desc, |stride| asc, value asc.
-        let dominant = self
-            .strides
-            .iter()
-            .map(|(&s, &n)| (n, std::cmp::Reverse(s.unsigned_abs()), std::cmp::Reverse(s)))
-            .max()
-            .map(|(_, _, std::cmp::Reverse(s))| s);
-        let uniform = match dominant {
-            Some(s) => self.strides.get(&s).copied().unwrap_or(0) == total_pairs,
-            None => false,
-        };
-        TagProfile {
-            reads: self.reads,
-            writes: self.writes,
-            atomics: self.atomics,
-            lanes: self.lanes,
-            footprint_lines: self.lines.len() as u64,
-            min_addr: self.min_addr,
-            max_addr: self.max_addr,
-            dominant_stride: dominant,
-            stride_uniform: uniform,
-        }
-    }
-}
-
-/// Walks the kernel once and returns one [`TagProfile`] per array tag it
-/// names, keyed and ordered by tag. `line_bytes` must be a power of two.
-pub fn tag_profiles<K: KernelSpec + ?Sized>(
-    kernel: &K,
-    num_sms: usize,
-    warp_size: u32,
-    line_bytes: u32,
-) -> BTreeMap<ArrayTag, TagProfile> {
-    assert!(
-        line_bytes.is_power_of_two(),
-        "line_bytes must be a power of two, got {line_bytes}"
-    );
-    let shift = line_bytes.trailing_zeros();
-    let mut accs: FxHashMap<ArrayTag, TagAcc> = FxHashMap::default();
-    each_warp_program(kernel, num_sms, warp_size, |_, _, prog| {
-        for op in prog.iter() {
-            let Some(a) = op.access() else { continue };
-            let acc = accs.entry(a.tag).or_default();
-            match op {
-                Op::Load(_) => acc.reads += 1,
-                Op::Store(_) => acc.writes += 1,
-                Op::Atomic(_) => acc.atomics += 1,
-                _ => unreachable!("access() is None for non-memory ops"),
-            }
-            acc.absorb(a, shift);
-        }
-    });
-    accs.into_iter().map(|(t, acc)| (t, acc.finish())).collect()
-}
-
-/// [`tag_profiles`] with geometry and L1 line size from a GPU preset.
-pub fn tag_profiles_on<K: KernelSpec + ?Sized>(
-    kernel: &K,
-    cfg: &GpuConfig,
-) -> BTreeMap<ArrayTag, TagProfile> {
-    tag_profiles(kernel, cfg.num_sms, cfg.warp_size, cfg.l1.line_bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,74 +185,6 @@ mod tests {
         assert_eq!(seen[0], (0, 0, 0));
         assert_eq!(seen[1], (0, 1, 4));
         assert_eq!(seen[19], (9, 1, 9 * 8 + 4));
-    }
-
-    /// One coalesced read array, one written array, one atomic counter.
-    #[derive(Debug, Clone)]
-    struct ThreeArrays;
-
-    impl KernelSpec for ThreeArrays {
-        fn name(&self) -> String {
-            "three-arrays".into()
-        }
-        fn launch(&self) -> LaunchConfig {
-            LaunchConfig::new(4u32, 32u32)
-        }
-        fn warp_program(&self, ctx: &CtaContext, _warp: u32) -> Program {
-            vec![
-                Op::Load(MemAccess::coalesced(0, ctx.cta * 128, 32, 4)),
-                Op::Store(MemAccess::coalesced(1, 0x1000 + ctx.cta * 128, 32, 4)),
-                Op::Atomic(MemAccess::scalar(2, 0x2000, 4)),
-                Op::Compute(2),
-            ]
-        }
-    }
-
-    #[test]
-    fn tag_profiles_classify_arrays() {
-        let p = tag_profiles(&ThreeArrays, 2, 32, 128);
-        assert_eq!(p.len(), 3);
-
-        let a = &p[&0];
-        assert_eq!((a.reads, a.writes, a.atomics), (4, 0, 0));
-        assert_eq!(a.lanes, 4 * 32);
-        assert_eq!(a.footprint_lines, 4); // one 128B line per CTA
-        assert_eq!(a.dominant_stride, Some(4));
-        assert!(a.stride_uniform, "coalesced access is perfectly regular");
-        assert_eq!((a.min_addr, a.max_addr), (0, 3 * 128 + 31 * 4));
-
-        let b = &p[&1];
-        assert_eq!((b.reads, b.writes, b.atomics), (0, 4, 0));
-        assert_eq!(b.footprint_bytes(128), 4 * 128);
-
-        let c = &p[&2];
-        assert_eq!((c.reads, c.writes, c.atomics), (0, 0, 4));
-        assert_eq!(c.footprint_lines, 1);
-        assert_eq!(c.dominant_stride, None, "scalar ops have no lane pairs");
-        assert!(!c.stride_uniform);
-    }
-
-    #[test]
-    fn tag_profiles_detect_irregular_strides() {
-        #[derive(Debug)]
-        struct Gather;
-        impl KernelSpec for Gather {
-            fn name(&self) -> String {
-                "gather".into()
-            }
-            fn launch(&self) -> LaunchConfig {
-                LaunchConfig::new(1u32, 32u32)
-            }
-            fn warp_program(&self, _ctx: &CtaContext, _warp: u32) -> Program {
-                // Three +8 pairs, one +568 jump: dominant but not uniform.
-                vec![Op::Load(MemAccess::gather(7, vec![0, 8, 16, 24, 592], 4))]
-            }
-        }
-        let p = tag_profiles_on(&Gather, &arch::gtx570());
-        let g = &p[&7];
-        assert_eq!(g.dominant_stride, Some(8));
-        assert!(!g.stride_uniform);
-        assert_eq!(g.footprint_lines, 2); // lines 0 and 4 at 128B
     }
 
     #[test]

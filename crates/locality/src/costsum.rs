@@ -4,8 +4,8 @@
 //! [`AccessSummary::collect`] walks every warp program of a kernel once
 //! (via [`gpu_sim::walk`], CTA-major order, no timing model) and folds
 //! the demand-read line stream into an abstract state: per-line touch
-//! counts, distinct-CTA counts, written flags, and an exact LRU
-//! stack-distance histogram. From that single walk,
+//! counts, distinct-CTA and distinct-warp counts, written flags, and each
+//! warp's line sequence. From that single walk,
 //! [`AccessSummary::hit_interval`] derives a **sound** L1 read hit-rate
 //! interval `[lo, hi]` for any cache geometry — sound meaning the
 //! interval contains the hit rate the event-driven simulator measures
@@ -70,13 +70,10 @@
 //! argument does not apply (the footprint-fits bound above survives ATA,
 //! because an install with a free or invalidatable way never evicts).
 //!
-//! The stack-distance histogram and working-set sizes are *reports*,
-//! not bounds: they describe the walk's canonical interleaving, which a
-//! real schedule may improve on or degrade. [`AccessSummary::set_conflicts`]
-//! exposes the per-set domain itself — install-capable footprints under
-//! the configured and the modulo decoder, per-set read counts and
-//! stack-distance histograms — for the analyzer's CL3xx lints and the
-//! `--verify-costmodel` machine check against the simulator's per-set
+//! [`AccessSummary::set_conflicts`] exposes the per-set domain itself —
+//! install-capable footprints under the configured and the modulo
+//! decoder, and per-set read counts — for the analyzer's CL3xx lints and
+//! the `--verify-costmodel` machine check against the simulator's per-set
 //! counters.
 //!
 //! [`CacheConfig::aggregated_tags`]: gpu_sim::CacheConfig
@@ -86,8 +83,6 @@ use gpu_sim::{
     coalesce_lines_into, walk, AddrDec, CacheOp, FxHashMap, GpuConfig, IndexFn, KernelSpec, Op,
     WritePolicy,
 };
-
-use crate::distance::ReuseDistance;
 
 /// Absolute slack allowed when testing measured rates against the
 /// interval: covers the single rounding step of the simulator's
@@ -194,9 +189,6 @@ pub struct AccessSummary {
     mem_ops: u64,
     /// Per-line abstract state, keyed by line number (`addr >> log2`).
     lines: FxHashMap<u64, LineRec>,
-    /// Exact LRU stack distances of the cacheable read stream in walk
-    /// order (reporting only — not part of the sound bounds).
-    distance: ReuseDistance,
     /// Line tags of every cacheable access in walk order (CTA-major,
     /// warp-minor, per-warp program order — the engine's issue order for
     /// each individual warp). Bypassed reads and atomics are excluded.
@@ -231,7 +223,6 @@ impl AccessSummary {
             atomics: 0,
             mem_ops: 0,
             lines: FxHashMap::default(),
-            distance: ReuseDistance::new(),
             warp_tags: Vec::new(),
             warp_stores: Vec::new(),
             warp_starts: Vec::new(),
@@ -255,7 +246,6 @@ impl AccessSummary {
                         for &line in line_buf.iter() {
                             let tag = line >> shift;
                             s.reads += 1;
-                            s.distance.access(tag);
                             s.warp_tags.push(tag);
                             s.warp_stores.push(false);
                             let rec = s.lines.entry(tag).or_default();
@@ -341,24 +331,6 @@ impl AccessSummary {
     /// in lines.
     pub fn read_working_set(&self) -> u64 {
         self.lines.values().filter(|r| r.read).count() as u64
-    }
-
-    /// Distinct lines touched by any access (read or written).
-    pub fn working_set(&self) -> u64 {
-        self.lines.len() as u64
-    }
-
-    /// The LRU stack-distance histogram of the walked read stream,
-    /// sorted by distance. Descriptive: the walk's canonical
-    /// interleaving, not a bound.
-    pub fn distance_histogram(&self) -> Vec<(u64, u64)> {
-        self.distance.histogram()
-    }
-
-    /// Mean stack distance over all walked reuses (`None` without
-    /// reuse).
-    pub fn mean_distance(&self) -> Option<f64> {
-        self.distance.mean_distance()
     }
 
     /// Whether the kernel presents no reads to the L1 at all — cache
@@ -582,7 +554,6 @@ impl AccessSummary {
                 footprint: vec![0; num_sets],
                 modulo_footprint: vec![0; num_sets],
                 set_reads: vec![0; num_sets],
-                distances: vec![Vec::new(); num_sets],
                 conflict_hits: 0,
             };
         }
@@ -601,14 +572,6 @@ impl AccessSummary {
                 set_reads[dec.set_of_tag(tag) as usize] += rec.touches;
             }
         }
-        // Per-set stack distances of the walked read stream, projected by
-        // the configured decoder (descriptive, like the global histogram).
-        let mut rd: Vec<ReuseDistance> = vec![ReuseDistance::new(); num_sets];
-        for (i, &tag) in self.warp_tags.iter().enumerate() {
-            if !self.warp_stores[i] {
-                rd[dec.set_of_tag(tag) as usize].access(tag);
-            }
-        }
         let conflict_hits = if cfg.l1.aggregated_tags {
             0
         } else {
@@ -620,7 +583,6 @@ impl AccessSummary {
             footprint,
             modulo_footprint,
             set_reads,
-            distances: rd.into_iter().map(|r| r.histogram()).collect(),
             conflict_hits,
         }
     }
@@ -650,9 +612,6 @@ pub struct SetConflictModel {
     /// `read_hits + read_misses`, summed over all arrays, equals this
     /// exactly.
     pub set_reads: Vec<u64>,
-    /// Per-set stack-distance histograms of the walked read stream
-    /// (descriptive — the canonical interleaving, not a bound).
-    pub distances: Vec<Vec<(u64, u64)>>,
     /// Read transactions credited by the conflict-aware refinement at
     /// this geometry (zero under aggregated-tag mode).
     pub conflict_hits: u64,
@@ -702,15 +661,6 @@ impl SetConflictModel {
     /// Largest per-set footprint.
     pub fn max_footprint(&self) -> u64 {
         self.footprint.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Mean footprint over occupied sets (`0.0` when nothing installs).
-    pub fn mean_occupied_footprint(&self) -> f64 {
-        let occ = self.occupied_sets();
-        if occ == 0 {
-            return 0.0;
-        }
-        self.footprint.iter().sum::<u64>() as f64 / occ as f64
     }
 
     /// Camping skew: the largest per-set footprint relative to a uniform
@@ -771,7 +721,6 @@ mod tests {
         // Per CTA: 1 shared line + 3 touches of its own line.
         assert_eq!(s.reads(), 4 * 4);
         assert_eq!(s.read_working_set(), 5);
-        assert_eq!(s.working_set(), 5);
         assert_eq!(s.stores(), 0);
         assert!(!s.geometry_irrelevant());
     }
@@ -1033,7 +982,6 @@ mod tests {
         assert!(!m.indexing_insensitive());
         assert!((m.camping_ratio() - 3.0 * 4.0 / 5.0).abs() < 1e-12);
         assert_eq!(m.conflict_hits, 0, "no re-touches in the stream");
-        assert!(m.distances.iter().all(|h| h.is_empty()), "no reuse");
 
         // A tiny footprint fits the ways under both decoders: the
         // indexing axis is provably dead.

@@ -121,7 +121,7 @@ mod tests {
         }
         let tags = feed.into_inner();
         assert_eq!(tags.summary(1).reuses, 96);
-        assert_eq!(tags.streaming_tags(64), vec![0]);
+        assert_eq!(tags.streaming_tags(), vec![0]);
     }
 
     #[test]

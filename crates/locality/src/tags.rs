@@ -8,6 +8,13 @@
 use crate::wordmap::WordMap;
 use gpu_sim::{AccessEvent, ArrayTag, FxHashMap, LaneSet, TraceSink};
 
+/// Minimum word accesses before a tag's reuse rate is trusted enough to
+/// call it streaming (§4.3-(II) bypass candidate selection).
+const STREAMING_MIN_ACCESSES: u64 = 64;
+
+/// Word-reuse-rate ceiling of a streaming tag.
+const STREAMING_WORD_REUSE_MAX: f64 = 0.02;
+
 /// Reuse statistics of one array tag.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TagSummary {
@@ -46,7 +53,7 @@ impl TagSummary {
 /// // Tag 1 is the centroid table (heavy reuse); tag 0 the point stream.
 /// assert!(profiler.summary(1).reuse_rate() > 0.5);
 /// assert!(profiler.summary(0).reuse_rate() < 0.05);
-/// assert_eq!(profiler.streaming_tags(64), vec![0, 2]);
+/// assert_eq!(profiler.streaming_tags(), vec![0, 2]);
 /// # Ok::<(), gpu_sim::SimError>(())
 /// ```
 #[derive(Debug, Default)]
@@ -80,14 +87,16 @@ impl TagReuseProfiler {
         v
     }
 
-    /// Tags that stream: at least `min_accesses` word accesses with a
-    /// reuse rate under 2% — the bypass candidates.
-    pub fn streaming_tags(&self, min_accesses: u64) -> Vec<ArrayTag> {
+    /// Tags that stream: at least 64 word accesses with a reuse rate
+    /// under 2% — the bypass candidates. This is the one word-level
+    /// streaming rule; the analyzer's stricter audit set starts from it.
+    pub fn streaming_tags(&self) -> Vec<ArrayTag> {
         let mut v: Vec<ArrayTag> = self
             .tags
             .iter()
             .filter(|(_, s)| {
-                s.accesses >= min_accesses && (s.reuses as f64) < 0.02 * s.accesses as f64
+                s.accesses >= STREAMING_MIN_ACCESSES
+                    && (s.reuses as f64) < STREAMING_WORD_REUSE_MAX * s.accesses as f64
             })
             .map(|(&t, _)| t)
             .collect();
@@ -171,7 +180,7 @@ mod tests {
         assert_eq!(p.summary(0).reuses, 0);
         assert_eq!(p.summary(1).reuses, 96);
         assert_eq!(p.summary(1).inter_cta, 96);
-        assert_eq!(p.streaming_tags(64), vec![0]);
+        assert_eq!(p.streaming_tags(), vec![0]);
     }
 
     #[test]
@@ -186,6 +195,6 @@ mod tests {
     fn small_tags_never_flagged_streaming() {
         let mut p = TagReuseProfiler::new();
         feed(&mut p, 5, 0, &[0], false);
-        assert!(p.streaming_tags(64).is_empty());
+        assert!(p.streaming_tags().is_empty());
     }
 }

@@ -3,7 +3,9 @@
 //! The default path is fully static — no cache or timing simulation:
 //!
 //! 1. Resolve the GPU preset and materialize the kernel (suite workload
-//!    for `"app"`, a [`DescribedKernel`] for structural descriptions).
+//!    for `"app"`, a [`DescribedKernel`] for structural descriptions,
+//!    which are refused as `bad-kernel` when their walk would exceed
+//!    2^22 warp ops).
 //! 2. Classify the locality source from the statically enumerated
 //!    address streams ([`StaticProfile`]) and find the streaming tags.
 //! 3. Assemble the clustering plan the way `Framework::plan` does
@@ -26,6 +28,11 @@ use cta_clustering::{clamp_active_agents, Axis, Framework, Plan};
 use gpu_kernels::{PartitionHint, Workload};
 use gpu_sim::{arch, CtaContext, Dim3, GpuConfig, KernelSpec, LaunchConfig, MemAccess, Op};
 use locality::{AccessSummary, HitInterval};
+
+/// Most warp ops a structural kernel may make the planner walk: 8× the
+/// largest suite walk (KMN on GTX570, 526,080 ops). Fixed on purpose — a
+/// request line must not be able to hold a worker for unbounded time.
+const MAX_WALK_OPS: u64 = 1 << 22;
 
 /// Resolves a normalized preset name (see [`crate::proto::normalize_gpu`])
 /// to its [`GpuConfig`]. Covers the four Table 1 presets plus the
@@ -166,6 +173,35 @@ fn axis_of(hint: PartitionHint) -> Axis {
     }
 }
 
+/// Rejects a structural kernel whose static walk would exceed
+/// [`MAX_WALK_OPS`]: CTAs × warps per CTA × ops per warp, where a warp
+/// with no accesses still costs one walk step. The product saturates, so
+/// it cannot overflow, and it runs before `LaunchConfig::validate`, whose
+/// `Dim3::count` would.
+fn check_walk_budget(raw: &RawKernel, warp_size: u32) -> Result<(), ProtoError> {
+    let [x, y, z] = raw.grid;
+    let warps = raw.block.div_ceil(warp_size);
+    let per_warp = raw
+        .accesses
+        .iter()
+        .map(|a| a.reps as u64)
+        .sum::<u64>()
+        .max(1);
+    let ops = [x as u64, y as u64, z as u64, warps as u64, per_warp]
+        .into_iter()
+        .fold(1, u64::saturating_mul);
+    if ops > MAX_WALK_OPS {
+        return Err(ProtoError::new(
+            "bad-kernel",
+            format!(
+                "walk of {x}x{y}x{z} CTAs x {warps} warps x {per_warp} ops \
+                 exceeds the {MAX_WALK_OPS}-op budget"
+            ),
+        ));
+    }
+    Ok(())
+}
+
 fn plan_kernel<K: KernelSpec + ?Sized>(
     kernel: &K,
     cfg: &GpuConfig,
@@ -193,7 +229,7 @@ fn plan_kernel<K: KernelSpec + ?Sized>(
         exploit_locality: exploit,
         active_agents: opt_agents.map(|n| clamp_active_agents(n, max_agents)),
         bypass: if exploit {
-            fw.streaming_tags_static(kernel)
+            profile.word_streaming_tags()
         } else {
             Vec::new()
         },
@@ -250,6 +286,7 @@ pub fn plan_request(req: &Request) -> Result<PlanBody, ProtoError> {
             Ok(body)
         }
         KernelRef::Raw(raw) => {
+            check_walk_budget(raw, cfg.warp_size)?;
             // Structural descriptions carry no Table 2 hint; partition
             // along Y when the grid has rows to cluster (row-major CTA
             // ids make Y-neighbours address-adjacent), else X.
@@ -339,6 +376,45 @@ mod tests {
         ))
         .unwrap_err();
         assert_eq!(e.code, "bad-kernel");
+    }
+
+    #[test]
+    fn oversized_walks_are_bad_kernels() {
+        // 4.3 billion CTAs: rejected before any walk.
+        let e = plan_request(&req(
+            r#"{"id":"a","gpu":"GTX570","kernel":{"grid":[65535,65535],"block":32,
+                "accesses":[{"tag":0,"base":0}]}}"#,
+        ))
+        .unwrap_err();
+        assert_eq!(e.code, "bad-kernel");
+        assert!(e.message.contains("budget"), "{}", e.message);
+        // The CTA count overflows u64: rejected before `Dim3::count` runs.
+        let e = plan_request(&req(
+            r#"{"id":"a","gpu":"GTX570","kernel":{"grid":[4294967295,4294967295,2],"block":32}}"#,
+        ))
+        .unwrap_err();
+        assert_eq!(e.code, "bad-kernel");
+        assert!(e.message.contains("budget"), "{}", e.message);
+    }
+
+    #[test]
+    fn walk_budget_is_inclusive() {
+        let line = |reps: u32| {
+            format!(
+                r#"{{"id":"a","gpu":"GTX570","kernel":{{"grid":[1024,128],"block":32,
+                    "accesses":[{{"tag":0,"base":0,"reps":{reps}}}]}}}}"#
+            )
+        };
+        let raw = |reps| match req(&line(reps)).kernel {
+            KernelRef::Raw(raw) => raw,
+            KernelRef::Named(_) => unreachable!("structural request"),
+        };
+        // 131,072 CTAs x 1 warp x 32 ops = 2^22 exactly.
+        assert!(check_walk_budget(&raw(32), 32).is_ok());
+        assert_eq!(
+            check_walk_budget(&raw(33), 32).unwrap_err().code,
+            "bad-kernel"
+        );
     }
 
     #[test]
