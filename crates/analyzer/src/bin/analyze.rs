@@ -222,50 +222,19 @@ fn main() -> ExitCode {
 
     let root_span = cta_obs::span("bin/analyze");
 
-    // Round-robin the jobs across the workers; each worker reports
-    // (job index, report) so the merge below is by job order, making
-    // the output byte-identical for any worker count. Worker panics are
-    // caught per job (`thread::scope` would otherwise re-raise them at
-    // the implicit join) and downgraded to the internal-error exit.
-    let workers = opts.threads.min(jobs.len());
-    let per_worker: Vec<Vec<(usize, Option<Report>)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let jobs = &jobs;
-                let presets = &presets;
-                scope.spawn(move || {
-                    jobs.iter()
-                        .enumerate()
-                        .skip(w)
-                        .step_by(workers)
-                        .map(|(i, job)| {
-                            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                run_job(job, presets)
-                            }));
-                            (i, r.ok())
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panics are caught per job"))
-            .collect()
+    // Jobs run on the harness pool, which returns results in job order,
+    // so the merged report is byte-identical for any worker count. A
+    // panic is caught inside its job and downgraded to the
+    // internal-error exit.
+    let reports = cluster_bench::par::par_map(&jobs, opts.threads, |job| {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_job(job, &presets))).ok()
     });
-
-    let mut indexed: Vec<(usize, Option<Report>)> = per_worker.into_iter().flatten().collect();
-    if indexed.iter().any(|(_, r)| r.is_none()) {
+    let Some(reports) = reports.into_iter().collect::<Option<Vec<Report>>>() else {
         eprintln!("analyze: internal error: an analysis worker panicked");
         return ExitCode::from(2);
-    }
-    let mut indexed: Vec<(usize, Report)> = indexed
-        .drain(..)
-        .map(|(i, r)| (i, r.expect("checked above")))
-        .collect();
-    indexed.sort_by_key(|(i, _)| *i);
+    };
     let mut report = Report::new();
-    for (_, r) in indexed {
+    for r in reports {
         report.merge(r);
     }
 

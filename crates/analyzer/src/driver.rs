@@ -6,17 +6,13 @@
 use crate::diag::{Report, THROTTLE_CLAMPED, TRANSFORM_CONSTRUCTION_FAILED};
 use crate::profile::StaticProfile;
 use crate::{hb, ir, plan as plan_audit, transform};
-use cluster_bench::runner::{hinted_partition, SharedKernel};
+use cluster_bench::runner::{hinted_axis, hinted_partition, SharedKernel};
 use cta_clustering::{
-    clamp_active_agents, AgentKernel, Axis, BypassKernel, Plan, RedirectionKernel,
+    clamp_active_agents, AgentKernel, Axis, BypassKernel, Plan, RedirectionKernel, PREFETCH_DEPTH,
 };
-use gpu_kernels::{PaperCategory, PartitionHint, Workload};
+use gpu_kernels::{PaperCategory, Workload};
 use gpu_sim::{GpuConfig, KernelSpec};
 use locality::Category;
-
-/// Cross-CTA prefetch depth of the `PFH+TOT` variant (matches the
-/// harness).
-const PREFETCH_DEPTH: usize = 2;
 
 /// Resolves the paper's Table 2 category label into the [`Category`] the
 /// plan carries, resolving the combined `Data&Writing` label with the
@@ -121,8 +117,12 @@ pub fn analyze_workload(workload: Box<dyn Workload>, base_cfg: &GpuConfig, repor
 
     // Pass family 2: IR lints — baseline stream, then the bypassed and
     // prefetching agent programs (the variants that rewrite cache ops).
+    // The baseline pass's line census also narrows the word-level
+    // streaming set to the bypass set the BPS variant runs.
     let profile = StaticProfile::collect(&kernel, &cfg);
-    ir::check_kernel(&kernel, &cfg, &format!("{base}/BSL"), report);
+    let baseline = ir::IrPass::collect(&kernel, &cfg);
+    let bypass_tags = baseline.strict_streaming_tags(profile.word_streaming_tags());
+    baseline.finish(&format!("{base}/BSL"), report);
 
     // Pass families 7 + 8: the CL2xx cost model and the CL3xx set-conflict
     // model share one walked access summary of the baseline stream at the
@@ -131,7 +131,6 @@ pub fn analyze_workload(workload: Box<dyn Workload>, base_cfg: &GpuConfig, repor
     crate::costmodel::check_summary(&summary, &cfg, &format!("{base}/costmodel"), report);
     crate::setmodel::check_summary(&summary, &cfg, &format!("{base}/setmodel"), report);
 
-    let bypass_tags = profile.streaming_tags();
     match AgentKernel::with_partition(
         BypassKernel::new(kernel.clone(), bypass_tags.clone()),
         &cfg,
@@ -168,19 +167,12 @@ pub fn analyze_workload(workload: Box<dyn Workload>, base_cfg: &GpuConfig, repor
     hb_pass.finish(&format!("{base}/PFH+TOT"), report);
 
     // Pass family 3: audit the plan the framework stack would execute.
-    let plan_category = paper_to_category(info.category, profile.category);
-    let exploit = plan_category.exploitable();
-    let plan = Plan {
-        category: plan_category,
-        axis: match info.partition {
-            PartitionHint::X => Axis::X,
-            PartitionHint::Y => Axis::Y,
-        },
-        exploit_locality: exploit,
-        active_agents: Some(active),
-        bypass: if exploit { bypass_tags } else { Vec::new() },
-        prefetch: if exploit { 0 } else { PREFETCH_DEPTH },
-    };
+    let plan = Plan::for_category(
+        paper_to_category(info.category, profile.category),
+        hinted_axis(info.partition),
+        Some(active),
+        bypass_tags,
+    );
     plan_audit::audit(&plan, &profile, max_agents, &format!("{base}/plan"), report);
 }
 

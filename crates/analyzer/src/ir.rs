@@ -11,13 +11,16 @@ use crate::diag::{
     PREFETCH_AFTER_LAST_USE, PREFETCH_NEVER_USED,
 };
 use gpu_sim::{walk, ArrayTag, CacheOp, FxHashMap, GpuConfig, KernelSpec, Op};
-
-/// Reference line size (128-byte Fermi/Kepler L1 line).
-const LINE_BYTES: u64 = 128;
+use locality::REFERENCE_LINE_BYTES;
 
 /// A bypassed tag is flagged when more than this fraction of its line
 /// touches land on lines that carry demand-read reuse.
 const BYPASS_REUSE_SHARE_MAX: f64 = 0.25;
+
+/// Line-reuse-share ceiling for a bypass candidate. Stricter than the
+/// `CL021` firing threshold ([`BYPASS_REUSE_SHARE_MAX`]) so selection
+/// and lint cannot flap on borderline tags.
+const STREAM_LINE_REUSE_MAX: f64 = 0.10;
 
 /// Coalescing floor: below this many lanes per transaction on average,
 /// the access pattern is pathologically divergent.
@@ -77,7 +80,7 @@ impl IrPass {
             };
             self.lines_scratch.clear();
             for &addr in &access.addrs {
-                let line = addr / LINE_BYTES;
+                let line = addr / REFERENCE_LINE_BYTES;
                 if !self.lines_scratch.contains(&line) {
                     self.lines_scratch.push(line);
                 }
@@ -149,6 +152,44 @@ impl IrPass {
         }
     }
 
+    /// A pass fed every warp program of `kernel` under `cfg`'s
+    /// geometry.
+    pub fn collect<K: KernelSpec + ?Sized>(kernel: &K, cfg: &GpuConfig) -> Self {
+        let mut pass = IrPass::new();
+        walk::each_warp_program_on(kernel, cfg, |ctx, warp, prog| pass.visit(ctx, warp, prog));
+        pass
+    }
+
+    /// The analyzer's bypass candidates: `word_set` (the word-level
+    /// streaming set, [`crate::StaticProfile::word_streaming_tags`])
+    /// minus tags whose line-reuse share — the fraction of their
+    /// demand-read line touches that land on a line they touched before
+    /// — is at least 10%. The line criterion keeps cache-line-sourced
+    /// reuse, invisible to the word-level test, out of the bypass set:
+    /// exactly what lint `CL021` would flag. Read off the pass over the
+    /// baseline kernel.
+    pub fn strict_streaming_tags(&self, mut word_set: Vec<ArrayTag>) -> Vec<ArrayTag> {
+        let shares = self.line_reuse_shares();
+        word_set.retain(|t| shares.get(t).copied().unwrap_or(0.0) < STREAM_LINE_REUSE_MAX);
+        word_set
+    }
+
+    /// Per-tag line-reuse share of the demand-read census, aggregated in
+    /// one pass over it: a line touched `n` times contributes `n`
+    /// touches, `n - 1` of them reuses.
+    fn line_reuse_shares(&self) -> FxHashMap<ArrayTag, f64> {
+        let mut per_tag: FxHashMap<ArrayTag, (u64, u64)> = FxHashMap::default();
+        for (&(tag, _), &n) in &self.stats.line_touches {
+            let (touches, lines) = per_tag.entry(tag).or_default();
+            *touches += u64::from(n);
+            *lines += 1;
+        }
+        per_tag
+            .into_iter()
+            .map(|(tag, (touches, lines))| (tag, (touches - lines) as f64 / touches as f64))
+            .collect()
+    }
+
     /// Emits the pass's findings onto `report` under `subject`.
     pub fn finish(self, subject: &str, report: &mut Report) {
         report.note_subject();
@@ -156,17 +197,14 @@ impl IrPass {
     }
 }
 
-/// Walks `kernel` and emits the IR lints onto `report` under `subject`
-/// (standalone wrapper around [`IrPass`]).
+/// Walks `kernel` and emits the IR lints onto `report` under `subject`.
 pub fn check_kernel<K: KernelSpec + ?Sized>(
     kernel: &K,
     cfg: &GpuConfig,
     subject: &str,
     report: &mut Report,
 ) {
-    let mut pass = IrPass::new();
-    walk::each_warp_program_on(kernel, cfg, |ctx, warp, prog| pass.visit(ctx, warp, prog));
-    pass.finish(subject, report);
+    IrPass::collect(kernel, cfg).finish(subject, report);
 }
 
 fn finish_stats(stats: IrStats, subject: &str, report: &mut Report) {
@@ -378,6 +416,24 @@ mod tests {
         let mut r = Report::new();
         check_kernel(&Stream, &cfg(), "t", &mut r);
         assert!(!r.has(&BYPASS_ON_REUSED_LINE));
+    }
+
+    #[test]
+    fn streaming_selection_respects_both_reuse_criteria() {
+        use crate::profile::tests::Mixed;
+        let p = crate::StaticProfile::collect(&Mixed, &cfg());
+        let baseline = IrPass::collect(&Mixed, &cfg());
+        // Tag 0 is word-reused, tag 2 is line-reused: neither may be
+        // bypassed. Tag 1 truly streams.
+        assert!(p.tag_summary(0).reuse_rate() > 0.5);
+        assert!(p.tag_summary(2).reuse_rate() < 0.02);
+        assert!(baseline.line_reuse_shares()[&2] > 0.5);
+        assert_eq!(p.word_streaming_tags(), vec![1, 2]);
+        assert_eq!(
+            baseline.strict_streaming_tags(p.word_streaming_tags()),
+            vec![1]
+        );
+        assert_eq!(p.tags(), vec![0, 1, 2]);
     }
 
     #[test]

@@ -63,4 +63,4 @@ pub mod transform;
 pub use diag::{lint_by_code, lint_by_name, Diagnostic, Level, Lint, Report, LINTS};
 pub use driver::{analyze_arch, analyze_workload};
 pub use json::render_json;
-pub use profile::{StaticProfile, TagLineStats};
+pub use profile::StaticProfile;

@@ -1,32 +1,11 @@
 //! Static locality profiling: the address-stream statistics the plan
-//! audit and the IR lints share, computed by walking warp programs with
-//! [`gpu_sim::walk`] — no timing model involved.
+//! audit reads, computed over the static trace of a kernel's warp
+//! programs ([`locality::static_trace`]) — no timing model involved.
 
-use gpu_sim::{walk, ArrayTag, CacheOp, FxHashMap, FxHashSet, GpuConfig, KernelSpec, Op};
-use locality::{classify, Category, Signature, StaticFeed, TagReuseProfiler, TagSummary};
-
-/// Reference line size the static analysis is defined over (the 128-byte
-/// Fermi/Kepler L1 line, where cache-line locality lives).
-const LINE_BYTES: u64 = 128;
-
-/// Per-tag cache-line statistics (read path only).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TagLineStats {
-    /// Demand-read line touches of this tag.
-    pub read_touches: u64,
-    /// Touches that hit a line this tag had touched before.
-    pub reused_touches: u64,
-}
-
-impl TagLineStats {
-    /// Fraction of read line touches that land on already-touched lines.
-    pub fn line_reuse_share(&self) -> f64 {
-        if self.read_touches == 0 {
-            return 0.0;
-        }
-        self.reused_touches as f64 / self.read_touches as f64
-    }
-}
+use gpu_sim::{AccessEvent, ArrayTag, FxHashSet, GpuConfig, KernelSpec, TraceSink};
+use locality::{
+    classify, static_trace, Category, CategoryProfiler, Signature, TagReuseProfiler, TagSummary,
+};
 
 /// The statically derived locality profile of one kernel on one GPU.
 #[derive(Debug)]
@@ -37,69 +16,42 @@ pub struct StaticProfile {
     pub category: Category,
     /// Per-tag word-reuse summaries.
     tags: TagReuseProfiler,
-    /// Per-tag line touch statistics.
-    line_stats: FxHashMap<ArrayTag, TagLineStats>,
     /// Tags the kernel stores to or atomics, sorted.
     written_tags: Vec<ArrayTag>,
     /// Demand accesses walked.
     pub accesses: u64,
 }
 
-/// Line-reuse-share ceiling for a bypass candidate. Stricter than the
-/// `CL021` firing threshold (0.25) so selection and lint cannot flap on
-/// borderline tags.
-const STREAM_LINE_REUSE_MAX: f64 = 0.10;
+/// Fan-out sink feeding every profile statistic from one static trace.
+#[derive(Default)]
+struct ProfileSinks {
+    category: CategoryProfiler,
+    tags: TagReuseProfiler,
+    written: FxHashSet<ArrayTag>,
+}
+
+impl TraceSink for ProfileSinks {
+    fn record(&mut self, e: &AccessEvent<'_>) {
+        self.category.record(e);
+        self.tags.record(e);
+        if e.is_write {
+            self.written.insert(e.tag);
+        }
+    }
+}
 
 impl StaticProfile {
     /// Walks `kernel`'s warp programs under `cfg`'s geometry and builds
     /// the profile.
     pub fn collect<K: KernelSpec + ?Sized>(kernel: &K, cfg: &GpuConfig) -> Self {
-        let mut category = StaticFeed::new(locality::CategoryProfiler::with_line_bytes(128));
-        let mut tags = StaticFeed::new(TagReuseProfiler::new());
-        let mut line_stats: FxHashMap<ArrayTag, TagLineStats> = FxHashMap::default();
-        let mut seen_lines: FxHashSet<(ArrayTag, u64)> = FxHashSet::default();
-        let mut scratch: Vec<u64> = Vec::new();
-        let mut written: FxHashSet<ArrayTag> = FxHashSet::default();
-
-        walk::each_warp_program_on(kernel, cfg, |ctx, warp, prog| {
-            for op in prog {
-                category.op(ctx.cta, ctx.sm_id, warp, op);
-                tags.op(ctx.cta, ctx.sm_id, warp, op);
-                if let Op::Store(a) | Op::Atomic(a) = op {
-                    written.insert(a.tag);
-                }
-                // Line statistics: demand reads only.
-                if let Op::Load(a) = op {
-                    if a.cache_op == CacheOp::PrefetchL1 {
-                        continue;
-                    }
-                    scratch.clear();
-                    for &addr in &a.addrs {
-                        let line = addr / LINE_BYTES;
-                        if !scratch.contains(&line) {
-                            scratch.push(line);
-                        }
-                    }
-                    let stats = line_stats.entry(a.tag).or_default();
-                    for &line in &scratch {
-                        stats.read_touches += 1;
-                        if !seen_lines.insert((a.tag, line)) {
-                            stats.reused_touches += 1;
-                        }
-                    }
-                }
-            }
-        });
-
-        let accesses = category.issued();
-        let category = category.into_inner();
-        let mut written_tags: Vec<ArrayTag> = written.into_iter().collect();
+        let mut sinks = ProfileSinks::default();
+        let accesses = static_trace(kernel, cfg, &mut sinks);
+        let mut written_tags: Vec<ArrayTag> = sinks.written.into_iter().collect();
         written_tags.sort_unstable();
         StaticProfile {
-            signature: category.signature(),
-            category: category.classify(),
-            tags: tags.into_inner(),
-            line_stats,
+            signature: sinks.category.signature(),
+            category: sinks.category.classify(),
+            tags: sinks.tags,
             written_tags,
             accesses,
         }
@@ -115,11 +67,6 @@ impl StaticProfile {
         self.tags.summary(tag)
     }
 
-    /// Line statistics of one tag.
-    pub fn tag_line_stats(&self, tag: ArrayTag) -> TagLineStats {
-        self.line_stats.get(&tag).copied().unwrap_or_default()
-    }
-
     /// All tags observed, sorted.
     pub fn tags(&self) -> Vec<ArrayTag> {
         self.tags.summaries().into_iter().map(|(t, _)| t).collect()
@@ -132,34 +79,25 @@ impl StaticProfile {
     }
 
     /// The word-level streaming set ([`TagReuseProfiler::streaming_tags`]
-    /// over the walked stream): the bypass set `cta-serve` plans and the
-    /// harness runs. The same profiler over the same walk as
+    /// over the static trace): the bypass set `cta-serve` plans and the
+    /// harness runs. The same profiler over the same trace as
     /// `Framework::streaming_tags_static` on this GPU, so the same tags.
+    /// The analyzer narrows it with the baseline IR pass's line census
+    /// ([`crate::ir::IrPass::strict_streaming_tags`]).
     pub fn word_streaming_tags(&self) -> Vec<ArrayTag> {
         self.tags.streaming_tags()
-    }
-
-    /// The analyzer's stricter bypass candidates: the word-level set minus
-    /// tags whose line-reuse share is at least 10%. The line criterion
-    /// keeps cache-line-sourced reuse — invisible to the word-level test —
-    /// out of the bypass set, which is exactly what lint `CL021` would
-    /// flag.
-    pub fn streaming_tags(&self) -> Vec<ArrayTag> {
-        let mut v = self.word_streaming_tags();
-        v.retain(|&t| self.tag_line_stats(t).line_reuse_share() < STREAM_LINE_REUSE_MAX);
-        v
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use gpu_sim::{arch, CtaContext, Dim3, LaunchConfig, MemAccess, Program};
+    use gpu_sim::{arch, CtaContext, Dim3, LaunchConfig, MemAccess, Op, Program};
 
     /// CTAs share a table (tag 0), stream private slices (tag 1), and
     /// quarter-walk shared lines (tag 2: line reuse without word reuse).
     #[derive(Debug, Clone)]
-    struct Mixed;
+    pub(crate) struct Mixed;
 
     impl KernelSpec for Mixed {
         fn name(&self) -> String {
@@ -178,19 +116,6 @@ mod tests {
                 Op::Load(MemAccess::gather(2, quarter, 4)),
             ]
         }
-    }
-
-    #[test]
-    fn streaming_selection_respects_both_reuse_criteria() {
-        let p = StaticProfile::collect(&Mixed, &arch::gtx570());
-        // Tag 0 is word-reused, tag 2 is line-reused: neither may be
-        // bypassed. Tag 1 truly streams.
-        assert!(p.tag_summary(0).reuse_rate() > 0.5);
-        assert!(p.tag_summary(2).reuse_rate() < 0.02);
-        assert!(p.tag_line_stats(2).line_reuse_share() > 0.5);
-        assert_eq!(p.word_streaming_tags(), vec![1, 2]);
-        assert_eq!(p.streaming_tags(), vec![1]);
-        assert_eq!(p.tags(), vec![0, 1, 2]);
     }
 
     #[test]

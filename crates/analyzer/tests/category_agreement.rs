@@ -12,16 +12,15 @@
 //! The same loop pins the two streaming rules: the word-level set the
 //! planner reads off the profile is the harness's
 //! `Framework::streaming_tags_static`, and the analyzer's stricter set
-//! (word rule minus line-reused tags) drops a tag on DCT and NBO only.
+//! (word rule minus tags the baseline IR pass finds line-reused) drops a
+//! tag on DCT and NBO only.
 
 use cluster_bench::runner::SharedKernel;
+use cta_analyzer::ir::IrPass;
 use cta_analyzer::StaticProfile;
 use cta_clustering::Framework;
 use gpu_sim::{arch, ArrayTag, Simulation};
 use locality::CategoryProfiler;
-
-/// Reference line size the static profile is defined over.
-const LINE_BYTES: u64 = 128;
 
 #[test]
 fn static_and_dynamic_categories_agree_on_table2() {
@@ -43,12 +42,12 @@ fn static_and_dynamic_categories_agree_on_table2() {
             "{}: planner and harness bypass sets differ",
             info.abbr
         );
-        let strict = profile.streaming_tags();
+        let strict = IrPass::collect(&kernel, &cfg).strict_streaming_tags(word.clone());
         if strict != word {
             strict_differs.push((info.abbr, word, strict));
         }
 
-        let mut dynamic = CategoryProfiler::with_line_bytes(LINE_BYTES);
+        let mut dynamic = CategoryProfiler::new();
         Simulation::new(cfg.clone(), &kernel)
             .run_traced(&mut dynamic)
             .unwrap_or_else(|e| panic!("{} on {}: {e}", info.abbr, cfg.name));

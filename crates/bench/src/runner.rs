@@ -9,16 +9,15 @@
 //! [`AppEvaluation`] the serial path produces.
 
 use cta_clustering::{
-    AgentKernel, BypassKernel, ClusterError, Framework, Partition, RedirectionKernel,
+    AgentKernel, Axis, BypassKernel, ClusterError, Framework, Partition, RedirectionKernel,
+    PREFETCH_DEPTH,
 };
 use gpu_kernels::{PartitionHint, Workload};
 use gpu_sim::{
     ArrayTag, CtaContext, GpuConfig, KernelSpec, LaunchConfig, Op, Program, RunStats, Simulation,
 };
-use locality::Digest;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// Cross-variant program cache: one [`Arc<[Op]>`] per `(cta, warp)` of
 /// the original grid, filled on first request and replayed zero-copy by
@@ -85,68 +84,6 @@ impl ProgramCache {
 /// coverage (`get_or_fill` bails out), never correctness.
 const DEFAULT_WARP_SIZE: u32 = 32;
 
-/// Cross-workload program-cache registry, keyed by canonical content
-/// digest (plus warp width, which sizes the arena). Two workloads whose
-/// kernel descriptions hash to the same digest — identical tenant
-/// requests, parameter-sweep twins — share one [`ProgramCache`], so the
-/// second workload replays the first one's traced programs instead of
-/// regenerating them. The per-workload cache of [`SharedKernel::new`]
-/// keys only `(cta, warp)` *within* one workload; this registry is the
-/// cross-workload layer the plan server's content hashing unlocks.
-///
-/// Entries live for the process (the serve content cache bounds the
-/// number of distinct digests that ever reach the registry).
-struct ProgramRegistry {
-    entries: Mutex<HashMap<(u128, u32), Arc<ProgramCache>>>,
-    shares: AtomicU64,
-    inserts: AtomicU64,
-}
-
-static PROGRAM_REGISTRY: OnceLock<ProgramRegistry> = OnceLock::new();
-
-impl ProgramRegistry {
-    fn global() -> &'static ProgramRegistry {
-        PROGRAM_REGISTRY.get_or_init(|| ProgramRegistry {
-            entries: Mutex::new(HashMap::new()),
-            shares: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
-        })
-    }
-
-    /// The cache registered under `(key, warp_size)`, creating one sized
-    /// for `launch` on first sight. The caller's digest must cover the
-    /// launch geometry and program semantics — equal digests promise
-    /// interchangeable warp programs.
-    fn get_or_insert(
-        &self,
-        key: Digest,
-        launch: &LaunchConfig,
-        warp_size: u32,
-    ) -> Arc<ProgramCache> {
-        let mut entries = self.entries.lock().expect("program registry lock");
-        match entries.entry((key.0, warp_size)) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                self.shares.fetch_add(1, Ordering::Relaxed);
-                Arc::clone(e.get())
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                self.inserts.fetch_add(1, Ordering::Relaxed);
-                Arc::clone(v.insert(Arc::new(ProgramCache::new(launch, warp_size))))
-            }
-        }
-    }
-}
-
-/// `(kernels served from an existing registry entry, entries created)`
-/// of the process-wide content-addressed program registry.
-pub fn program_registry_stats() -> (u64, u64) {
-    let r = ProgramRegistry::global();
-    (
-        r.shares.load(Ordering::Relaxed),
-        r.inserts.load(Ordering::Relaxed),
-    )
-}
-
 /// A cloneable handle to a boxed workload, so the clustering transforms
 /// (which need `Clone`) can wrap suite entries. Backed by `Arc` so the
 /// handle can cross thread boundaries in the parallel harness.
@@ -164,25 +101,8 @@ impl SharedKernel {
     /// Wraps a suite workload, sizing the program cache for the default
     /// warp width.
     pub fn new(w: Box<dyn Workload>) -> Self {
-        SharedKernel::with_warp_size(w, DEFAULT_WARP_SIZE)
-    }
-
-    /// Wraps a suite workload, sizing the program cache for `warp_size`.
-    pub fn with_warp_size(w: Box<dyn Workload>, warp_size: u32) -> Self {
         let inner: Arc<dyn Workload> = Arc::from(w);
-        let cache = Arc::new(ProgramCache::new(&inner.launch(), warp_size));
-        SharedKernel { inner, cache }
-    }
-
-    /// Wraps a workload whose canonical content digest is `key`, serving
-    /// warp programs from the process-wide content-addressed registry:
-    /// workloads sharing a digest share one traced-program arena. The
-    /// digest must cover launch geometry and program semantics (the plan
-    /// server's kernel digest does).
-    pub fn content_addressed(w: Box<dyn Workload>, key: Digest) -> Self {
-        let inner: Arc<dyn Workload> = Arc::from(w);
-        let cache =
-            ProgramRegistry::global().get_or_insert(key, &inner.launch(), DEFAULT_WARP_SIZE);
+        let cache = Arc::new(ProgramCache::new(&inner.launch(), DEFAULT_WARP_SIZE));
         SharedKernel { inner, cache }
     }
 
@@ -283,15 +203,19 @@ impl std::fmt::Display for Variant {
     }
 }
 
+/// The partition axis a Table 2 hint names.
+pub fn hinted_axis(hint: PartitionHint) -> Axis {
+    match hint {
+        PartitionHint::X => Axis::X,
+        PartitionHint::Y => Axis::Y,
+    }
+}
+
 /// The partition the workload's Table 2 hint selects.
 pub fn hinted_partition(kernel: &SharedKernel, cfg: &GpuConfig) -> Partition {
-    let grid = kernel.launch().grid;
-    let m = cfg.num_sms as u64;
-    match kernel.info().partition {
-        PartitionHint::X => Partition::x(grid, m),
-        PartitionHint::Y => Partition::y(grid, m),
-    }
-    .expect("suite grids are partitionable")
+    hinted_axis(kernel.info().partition)
+        .partition(kernel.launch().grid, cfg.num_sms as u64)
+        .expect("suite grids are partitionable")
 }
 
 /// One independent simulation of the evaluation matrix.
@@ -368,20 +292,6 @@ impl AppPlan {
     /// preset's preference heuristic.
     pub fn with_config(cfg: GpuConfig, workload: Box<dyn Workload>) -> AppPlan {
         AppPlan::build(cfg, SharedKernel::new(workload), None)
-    }
-
-    /// [`AppPlan::new`] with the workload's canonical content digest:
-    /// the plan's program cache comes from the cross-workload registry,
-    /// so measured-mode serve requests whose kernel descriptions hash
-    /// equal replay each other's traced programs.
-    pub fn with_content_key(
-        base_cfg: &GpuConfig,
-        workload: Box<dyn Workload>,
-        key: Digest,
-    ) -> AppPlan {
-        let kernel = SharedKernel::content_addressed(workload, key);
-        let cfg = base_cfg.prefer_l1(kernel.launch().smem_per_cta);
-        AppPlan::build(cfg, kernel, None)
     }
 
     /// [`AppPlan::with_config`] with `MAX_AGENTS` capped below the
@@ -585,7 +495,7 @@ impl AppPlan {
                     .agents
                     .clone()
                     .with_active_agents(active)?
-                    .with_prefetch(2);
+                    .with_prefetch(PREFETCH_DEPTH);
                 f(&prefetching)?
             }
         })
@@ -860,45 +770,6 @@ mod tests {
         assert_eq!(kernel.cache_counters(), (total + 1, total));
         // Out-of-range warp indices decline rather than alias a slot.
         assert!(kernel.warp_program_arc(&ctx(0), wpc).is_none());
-    }
-
-    #[test]
-    fn content_addressed_kernels_share_one_program_arena() {
-        let key = locality::CanonHasher::new("test-registry").digest();
-        let mk = || {
-            SharedKernel::content_addressed(
-                gpu_kernels::suite::by_abbr("NW", gpu_sim::ArchGen::Fermi).unwrap(),
-                key,
-            )
-        };
-        let a = mk();
-        let ctx = CtaContext {
-            cta: 0,
-            sm_id: 0,
-            slot: 0,
-            arrival: 0,
-            num_sms: 15,
-        };
-        let (h0, f0) = a.cache_counters();
-        let _ = a.warp_program_arc(&ctx, 0).expect("covered");
-        // A *different* SharedKernel built from the same digest sees the
-        // fill the first one made: one arena, two workload instances.
-        let b = mk();
-        let _ = b.warp_program_arc(&ctx, 0).expect("covered");
-        let (h1, f1) = b.cache_counters();
-        assert_eq!(f1 - f0, 1, "exactly one generation for the shared slot");
-        assert_eq!(h1 - h0, 1, "the twin replays it");
-        // A different digest gets a fresh arena.
-        let other = SharedKernel::content_addressed(
-            gpu_kernels::suite::by_abbr("NW", gpu_sim::ArchGen::Fermi).unwrap(),
-            locality::CanonHasher::new("test-registry-other").digest(),
-        );
-        let _ = other.warp_program_arc(&ctx, 0).expect("covered");
-        let (h2, f2) = other.cache_counters();
-        assert_eq!((h2, f2), (0, 1), "fresh arena for a fresh digest");
-        let (shares, inserts) = program_registry_stats();
-        assert!(shares >= 1);
-        assert!(inserts >= 2);
     }
 
     #[test]

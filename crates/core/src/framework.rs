@@ -81,6 +81,11 @@ pub struct Analysis {
     pub baseline_l2: u64,
 }
 
+/// Cross-CTA prefetch depth of plans over unexploitable locality: the
+/// `PFH+TOT` variant prefetches this many loads of each agent's next
+/// task.
+pub const PREFETCH_DEPTH: usize = 2;
+
 /// The optimization decision (Figure 5 / Figure 11 output).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Plan {
@@ -97,6 +102,29 @@ pub struct Plan {
     pub bypass: Vec<ArrayTag>,
     /// Cross-CTA prefetch depth (0 = off).
     pub prefetch: usize,
+}
+
+impl Plan {
+    /// Figure 5's decision table: a plan over exploitable locality
+    /// clusters for it and bypasses the `streaming` arrays around the
+    /// L1; any other plan only reshapes the CTA order, bypasses nothing
+    /// and prefetches [`PREFETCH_DEPTH`] loads ahead.
+    pub fn for_category(
+        category: Category,
+        axis: Axis,
+        active_agents: Option<u32>,
+        streaming: Vec<ArrayTag>,
+    ) -> Plan {
+        let exploit = category.exploitable();
+        Plan {
+            category,
+            axis,
+            exploit_locality: exploit,
+            active_agents,
+            bypass: if exploit { streaming } else { Vec::new() },
+            prefetch: if exploit { 0 } else { PREFETCH_DEPTH },
+        }
+    }
 }
 
 /// Fan-out sink feeding several profilers from one traced run.
@@ -163,7 +191,7 @@ impl Framework {
         K: KernelSpec + Clone,
     {
         let mut sinks = ProbeSinks {
-            category: CategoryProfiler::with_line_bytes(128),
+            category: CategoryProfiler::new(),
             reuse: ReuseProfiler::new(),
             tags: TagReuseProfiler::new(),
         };
@@ -229,49 +257,41 @@ impl Framework {
     }
 
     /// [`streaming_tags`](Self::streaming_tags) computed by statically
-    /// walking the warp programs instead of simulating them.
+    /// walking the warp programs ([`locality::static_trace`]) instead of
+    /// simulating them.
     ///
     /// Produces the *same* tag set as the traced probe: the selection
     /// reads only each tag's total word accesses and reuse count, and
     /// both totals are order-independent functions of the access
     /// multiset (`reuses = accesses - distinct words`). The timing
     /// model never changes which accesses execute, so enumerating the
-    /// warp programs with [`gpu_sim::walk`] feeds the profiler the same
-    /// multiset the engine's trace would — at program-generation cost,
-    /// with no cache or latency simulation. `probe_equivalence` pins the
-    /// equality per-app; the figure byte-diffs pin it matrix-wide.
+    /// warp programs feeds the profiler the same multiset the engine's
+    /// trace would — at program-generation cost, with no cache or
+    /// latency simulation. `probe_equivalence` pins the equality
+    /// per-app; the figure byte-diffs pin it matrix-wide.
     ///
-    /// Only valid for kernels without prefetch ops (the walk feeder
+    /// Only valid for kernels without prefetch ops (the static trace
     /// skips `PrefetchL1` loads, the engine traces them): the harness
     /// probes the *baseline* kernel, which has none.
     pub fn streaming_tags_static<K>(&self, kernel: &K) -> Vec<ArrayTag>
     where
         K: KernelSpec + ?Sized,
     {
-        let mut tags = locality::StaticFeed::new(TagReuseProfiler::new());
-        gpu_sim::walk::each_warp_program_on(kernel, &self.cfg, |ctx, warp, prog| {
-            for op in prog {
-                tags.op(ctx.cta, ctx.sm_id, warp, op);
-            }
-        });
-        tags.into_inner().streaming_tags()
+        let mut tags = TagReuseProfiler::new();
+        locality::static_trace(kernel, &self.cfg, &mut tags);
+        tags.streaming_tags()
     }
 
-    /// Derives the optimization plan from an analysis (Figure 5).
+    /// Derives the optimization plan from an analysis (Figure 5). The
+    /// throttle is left open (`None`): tuned separately or seeded from
+    /// Table 2.
     pub fn plan(&self, analysis: &Analysis) -> Plan {
-        let exploit = analysis.category.exploitable();
-        Plan {
-            category: analysis.category,
-            axis: analysis.axis,
-            exploit_locality: exploit,
-            active_agents: None, // tuned separately or via Table 2 hints
-            bypass: if exploit {
-                analysis.streaming_tags.clone()
-            } else {
-                Vec::new()
-            },
-            prefetch: if exploit { 0 } else { 2 },
-        }
+        Plan::for_category(
+            analysis.category,
+            analysis.axis,
+            None,
+            analysis.streaming_tags.clone(),
+        )
     }
 
     /// Sweeps throttling degrees for the planned agent kernel and

@@ -68,7 +68,7 @@ pub use agent::AgentKernel;
 pub use bind::{rr_binding, rr_unbinding, BindingScheme};
 pub use bypass::BypassKernel;
 pub use error::ClusterError;
-pub use framework::{clamp_active_agents, Analysis, Axis, Framework, Plan};
+pub use framework::{clamp_active_agents, Analysis, Axis, Framework, Plan, PREFETCH_DEPTH};
 pub use partition::{Indexing, Partition};
 pub use protocol::{BindingMode, ProtocolSpec};
 pub use redirect::RedirectionKernel;

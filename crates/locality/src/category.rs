@@ -2,6 +2,7 @@
 //! paper's Figure 4, detected from the pre-L1 access stream.
 
 use crate::wordmap::WordMap;
+use crate::REFERENCE_LINE_BYTES;
 use gpu_sim::{AccessEvent, TraceSink};
 use std::fmt;
 
@@ -105,7 +106,6 @@ struct WordState {
 /// data-related; everything else is streaming.
 #[derive(Debug)]
 pub struct CategoryProfiler {
-    line_bytes: u64,
     words: WordMap<WordState>,
     lines: WordMap<LineInfo>,
     // Per-record scratch (reused to keep the hot path allocation-free).
@@ -134,24 +134,9 @@ impl Default for CategoryProfiler {
 }
 
 impl CategoryProfiler {
-    /// Creates a classifier using the reference 128-byte L1 line
-    /// (Fermi/Kepler), which is where cache-line-related locality lives.
+    /// Creates a classifier over the [`REFERENCE_LINE_BYTES`] line.
     pub fn new() -> Self {
-        Self::with_line_bytes(128)
-    }
-
-    /// Creates a classifier against an explicit line size.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `line_bytes` is a power of two.
-    pub fn with_line_bytes(line_bytes: u64) -> Self {
-        assert!(
-            line_bytes.is_power_of_two(),
-            "line size must be a power of two"
-        );
         CategoryProfiler {
-            line_bytes,
             words: WordMap::default(),
             lines: WordMap::default(),
             seen_lines: Vec::new(),
@@ -267,7 +252,7 @@ impl TraceSink for CategoryProfiler {
         seen_lines.clear();
         seen_words.clear();
         for &addr in e.addrs {
-            let line = addr / self.line_bytes;
+            let line = addr / REFERENCE_LINE_BYTES;
             if !seen_lines.contains(&line) {
                 seen_lines.push(line);
             }
@@ -320,7 +305,7 @@ impl TraceSink for CategoryProfiler {
                     // word-level.
                     let word_shared = seen_words
                         .iter()
-                        .filter(|w| **w / (self.line_bytes / 4) == line)
+                        .filter(|w| **w / (REFERENCE_LINE_BYTES / 4) == line)
                         .all(|w| self.words.get(*w).map(|s| s.multi_cta).unwrap_or(false));
                     if word_shared {
                         self.line_inter_word += 1;
@@ -450,11 +435,5 @@ mod tests {
         assert_eq!(Category::Algorithm.to_string(), "algorithm");
         assert_eq!(Category::CacheLine.to_string(), "cache-line");
         assert_eq!(Category::Streaming.to_string(), "streaming");
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn bad_line_size_rejected() {
-        let _ = CategoryProfiler::with_line_bytes(100);
     }
 }

@@ -20,7 +20,8 @@
 //!
 //! All analyses are data-driven and independent of cache configuration or
 //! CTA-scheduling policy, exactly as the paper requires of its
-//! quantification methodology.
+//! quantification methodology. [`static_trace`] feeds the same sinks from
+//! statically walked warp programs, with no simulation at all.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -39,7 +40,12 @@ pub use canon::{CanonHasher, Digest};
 pub use category::{classify, Category, CategoryProfiler, Signature};
 pub use costsum::{AccessSummary, HitInterval, SetConflictModel};
 pub use distance::ReuseDistance;
-pub use feed::StaticFeed;
+pub use feed::static_trace;
 pub use obs_sink::ObsSink;
 pub use profiler::{ReuseProfiler, ReuseScope, ReuseSummary};
 pub use tags::{TagReuseProfiler, TagSummary};
+
+/// The reference line size, in bytes, that line-granular locality is
+/// defined over: the 128-byte Fermi/Kepler L1 line, where cache-line
+/// locality lives.
+pub const REFERENCE_LINE_BYTES: u64 = 128;

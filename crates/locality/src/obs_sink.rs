@@ -13,6 +13,7 @@
 //! [`RunStats`]: gpu_sim::RunStats
 
 use crate::distance::ReuseDistance;
+use crate::REFERENCE_LINE_BYTES;
 use cta_obs::Hist;
 use gpu_sim::{AccessEvent, Level, TraceSink};
 use std::collections::BTreeMap;
@@ -33,7 +34,6 @@ use std::collections::BTreeMap;
 pub struct ObsSink<F> {
     scope: String,
     cluster_of: F,
-    line_bytes: u64,
     dists: BTreeMap<(u16, u32), ReuseDistance>,
     latency: Hist,
     served: [u64; 3],
@@ -59,19 +59,11 @@ impl<F: Fn(u64, usize) -> u32> ObsSink<F> {
         ObsSink {
             scope: scope.into(),
             cluster_of,
-            line_bytes: 128,
             dists: BTreeMap::new(),
             latency: Hist::new(),
             served: [0; 3],
             line_buf: Vec::new(),
         }
-    }
-
-    /// Overrides the line granularity used for reuse distances
-    /// (default 128 bytes, the L1 line of every modelled GPU).
-    pub fn with_line_bytes(mut self, line_bytes: u64) -> Self {
-        self.line_bytes = line_bytes.max(1);
-        self
     }
 
     /// Flushes everything accumulated onto `obs`. Call once, after the
@@ -116,7 +108,7 @@ impl<F: Fn(u64, usize) -> u32> TraceSink for ObsSink<F> {
         // (lanes hitting the same line are one request).
         self.line_buf.clear();
         for &addr in e.addrs {
-            let line = addr / self.line_bytes;
+            let line = addr / REFERENCE_LINE_BYTES;
             if !self.line_buf.contains(&line) {
                 self.line_buf.push(line);
                 dist.access(line);

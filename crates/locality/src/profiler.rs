@@ -130,9 +130,6 @@ pub struct ReuseProfiler {
     /// (`words`, `words_multi_cta`, `words_reused`), so [`summary`]
     /// [`Self::summary`] is O(1) instead of a scan.
     summary: ReuseSummary,
-    /// Optional per-array filter: when set, only accesses with this tag
-    /// are profiled.
-    only_tag: Option<u16>,
     /// Per-record lane-dedup scratch (reused so the per-access hot path
     /// stays allocation-free).
     seen_words: Vec<u64>,
@@ -142,14 +139,6 @@ impl ReuseProfiler {
     /// Creates an empty profiler.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Restricts profiling to a single array tag.
-    pub fn for_tag(tag: u16) -> Self {
-        ReuseProfiler {
-            only_tag: Some(tag),
-            ..Self::default()
-        }
     }
 
     /// Finishes and returns the aggregate summary.
@@ -190,11 +179,6 @@ impl ReuseProfiler {
 
 impl TraceSink for ReuseProfiler {
     fn record(&mut self, e: &AccessEvent<'_>) {
-        if let Some(t) = self.only_tag {
-            if e.tag != t {
-                return;
-            }
-        }
         // Deduplicate lanes within one warp instruction at word granularity
         // (a warp touching the same word in many lanes is one request).
         let mut seen_words = std::mem::take(&mut self.seen_words);
@@ -316,13 +300,6 @@ mod tests {
         assert_eq!((iw, ic), (0.0, 0.0));
         assert!((xc - 1.0).abs() < 1e-12);
         assert!((p.summary().inter_cta_share() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn tag_filter_ignores_other_arrays() {
-        let mut p = ReuseProfiler::for_tag(7);
-        feed(&mut p, &event(0, 0, &[0], false)); // tag 0 -> ignored
-        assert_eq!(p.summary().accesses, 0);
     }
 
     #[test]

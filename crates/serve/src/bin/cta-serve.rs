@@ -163,7 +163,6 @@ fn main() -> ExitCode {
     let server = Server::new(ServerConfig {
         threads: opts.threads,
         queue_cap: opts.queue,
-        retry_after_ms: 25,
         default_deadline_ms: opts.deadline_ms,
     });
 

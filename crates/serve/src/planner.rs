@@ -8,8 +8,8 @@
 //!    2^22 warp ops).
 //! 2. Classify the locality source from the statically enumerated
 //!    address streams ([`StaticProfile`]) and find the streaming tags.
-//! 3. Assemble the clustering plan the way `Framework::plan` does
-//!    (Figure 5's decision table), with the throttle seeded from the
+//! 3. Assemble the clustering plan with Figure 5's decision table
+//!    ([`Plan::for_category`]), with the throttle seeded from the
 //!    Table 2 optimum for named apps.
 //! 4. Bound the predicted L1 hit rate with the sound static cost model
 //!    ([`locality::AccessSummary::hit_interval`]).
@@ -17,15 +17,14 @@
 //!    (CL401): a plan that fails the audit never leaves the server.
 //!
 //! `"mode":"measured"` additionally sweeps throttling degrees with real
-//! simulations through the content-addressed program registry
-//! ([`cluster_bench::AppPlan::with_content_key`]), so digest twins
-//! share one traced program arena even across worker threads.
+//! simulations ([`cluster_bench::AppPlan`]'s phase A).
 
 use crate::proto::{AccessKind, KernelRef, Mode, ProtoError, RawKernel, Request};
+use cluster_bench::runner::hinted_axis;
 use cta_analyzer::plan::audit_served;
 use cta_analyzer::{Report, StaticProfile};
 use cta_clustering::{clamp_active_agents, Axis, Framework, Plan};
-use gpu_kernels::{PartitionHint, Workload};
+use gpu_kernels::Workload;
 use gpu_sim::{arch, CtaContext, Dim3, GpuConfig, KernelSpec, LaunchConfig, MemAccess, Op};
 use locality::{AccessSummary, HitInterval};
 
@@ -166,13 +165,6 @@ impl PlanBody {
     }
 }
 
-fn axis_of(hint: PartitionHint) -> Axis {
-    match hint {
-        PartitionHint::X => Axis::X,
-        PartitionHint::Y => Axis::Y,
-    }
-}
-
 /// Rejects a structural kernel whose static walk would exceed
 /// [`MAX_WALK_OPS`]: CTAs × warps per CTA × ops per warp, where a warp
 /// with no accesses still costs one walk step. The product saturates, so
@@ -219,22 +211,12 @@ fn plan_kernel<K: KernelSpec + ?Sized>(
         .max_agents_for(kernel)
         .map_err(|e| ProtoError::new("bad-kernel", e.to_string()))?;
     let profile = StaticProfile::collect(kernel, cfg);
-    let exploit = profile.category.exploitable();
-    // Figure 5's decision table, as in `Framework::plan`: exploit plans
-    // bypass the streaming arrays; unexploitable ones fall back to
-    // cross-CTA prefetching.
-    let plan = Plan {
-        category: profile.category,
+    let plan = Plan::for_category(
+        profile.category,
         axis,
-        exploit_locality: exploit,
-        active_agents: opt_agents.map(|n| clamp_active_agents(n, max_agents)),
-        bypass: if exploit {
-            profile.word_streaming_tags()
-        } else {
-            Vec::new()
-        },
-        prefetch: if exploit { 0 } else { 2 },
-    };
+        opt_agents.map(|n| clamp_active_agents(n, max_agents)),
+        profile.word_streaming_tags(),
+    );
     let mut report = Report::new();
     if !audit_served(&plan, &profile, max_agents, subject, &mut report) {
         let detail = report
@@ -275,13 +257,13 @@ pub fn plan_request(req: &Request) -> Result<PlanBody, ProtoError> {
             let mut body = plan_kernel(
                 workload.as_ref(),
                 &cfg,
-                axis_of(info.partition),
+                hinted_axis(info.partition),
                 Some(info.opt_agents_for(cfg.arch)),
                 Some(info.abbr.to_string()),
                 &subject,
             )?;
             if req.mode == Mode::Measured {
-                body.plan.active_agents = Some(measured_throttle(&cfg, workload, req)?);
+                body.plan.active_agents = Some(measured_throttle(&cfg, workload)?);
             }
             Ok(body)
         }
@@ -299,15 +281,9 @@ pub fn plan_request(req: &Request) -> Result<PlanBody, ProtoError> {
 }
 
 /// The measured path: sweep the phase-A throttling candidates with real
-/// simulations and return the cycle-optimal `ACTIVE_AGENTS`. Uses the
-/// content-addressed program registry so requests with equal digests
-/// (and the phase's own variants) share one traced program arena.
-fn measured_throttle(
-    cfg: &GpuConfig,
-    workload: Box<dyn Workload>,
-    req: &Request,
-) -> Result<u32, ProtoError> {
-    let plan = cluster_bench::AppPlan::with_content_key(cfg, workload, req.digest());
+/// simulations and return the cycle-optimal `ACTIVE_AGENTS`.
+fn measured_throttle(cfg: &GpuConfig, workload: Box<dyn Workload>) -> Result<u32, ProtoError> {
+    let plan = cluster_bench::AppPlan::new(cfg, workload);
     let stats = plan
         .phase_a()
         .into_iter()
@@ -415,6 +391,25 @@ mod tests {
             check_walk_budget(&raw(33), 32).unwrap_err().code,
             "bad-kernel"
         );
+    }
+
+    #[test]
+    fn measured_mode_picks_the_phase_a_throttle() {
+        let line = r#"{"id":"m","mode":"measured","gpu":"GTX570","app":"NW"}"#;
+        let body = plan_request(&req(line)).expect("NW plans in measured mode");
+        let cfg = arch::gtx570();
+        let plan = cluster_bench::AppPlan::new(&cfg, lookup_app("NW", &cfg).expect("NW"));
+        let stats: Vec<_> = plan
+            .phase_a()
+            .into_iter()
+            .map(|r| plan.run(r).expect("phase A runs"))
+            .collect();
+        assert_eq!(
+            body.plan.active_agents,
+            Some(plan.select_throttle(&stats).0)
+        );
+        let again = plan_request(&req(line)).expect("NW plans again");
+        assert_eq!(body.render("m"), again.render("m"));
     }
 
     #[test]

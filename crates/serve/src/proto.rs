@@ -64,9 +64,8 @@ impl ProtoError {
 pub enum Mode {
     /// Static classification + cost model only (the fast path).
     Static,
-    /// Additionally sweep throttling degrees with real simulations
-    /// through the content-addressed program registry. Orders of
-    /// magnitude slower; only valid for named apps.
+    /// Additionally sweep throttling degrees with real simulations.
+    /// Orders of magnitude slower; only valid for named apps.
     Measured,
 }
 

@@ -36,6 +36,9 @@ use std::sync::mpsc;
 use std::sync::Mutex;
 use std::time::Instant;
 
+/// The `retry_after_ms` hint attached to shed responses.
+const RETRY_AFTER_MS: u64 = 25;
+
 /// Tuning knobs of a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -45,8 +48,6 @@ pub struct ServerConfig {
     /// In-flight request cap before the reader sheds; `0` disables
     /// shedding (tests and batch runs want determinism, not backpressure).
     pub queue_cap: usize,
-    /// `retry_after_ms` hint attached to shed responses.
-    pub retry_after_ms: u64,
     /// Deadline applied to requests that do not carry their own.
     pub default_deadline_ms: Option<u64>,
 }
@@ -56,7 +57,6 @@ impl Default for ServerConfig {
         ServerConfig {
             threads: 0,
             queue_cap: 1024,
-            retry_after_ms: 25,
             default_deadline_ms: None,
         }
     }
@@ -293,7 +293,7 @@ impl Server {
                             self.cfg.queue_cap
                         ),
                     );
-                    let resp = render_error(&id, &err, Some(self.cfg.retry_after_ms));
+                    let resp = render_error(&id, &err, Some(RETRY_AFTER_MS));
                     let _ = done_tx.send((seq, resp));
                 } else {
                     in_flight.fetch_add(1, Ordering::Relaxed);
@@ -429,7 +429,6 @@ mod tests {
         let s = Server::new(ServerConfig {
             threads: 1,
             queue_cap: 1,
-            retry_after_ms: 7,
             default_deadline_ms: None,
         });
         let lines: Vec<String> = (0..64)
@@ -442,7 +441,7 @@ mod tests {
         assert!(summary.shed > 0, "capacity 1 must shed under a 64-burst");
         let text = String::from_utf8(out).expect("utf8");
         assert!(text.contains("\"error\":\"overload\""));
-        assert!(text.contains("\"retry_after_ms\":7"));
+        assert!(text.contains(&format!("\"retry_after_ms\":{RETRY_AFTER_MS}")));
     }
 
     #[test]
