@@ -3,18 +3,15 @@
 //! renders findings.
 //!
 //! Modelled on rustc's lint machinery: every finding carries a stable
-//! code (`CL0xx`), a kebab-case name, a default level, and a one-line
-//! summary. Levels can be overridden per lint (the `-A`/`-W`/`-D`
-//! equivalent) through [`Report::set_level`].
+//! code (`CL0xx`), a kebab-case name, a level, and a one-line summary.
+//! Levels are fixed: each finding is reported at its lint's declared
+//! level.
 
-use std::collections::HashMap;
 use std::fmt;
 
 /// How severe a lint finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Level {
-    /// Suppressed: the finding is recorded nowhere.
-    Allow,
     /// Reported, but does not fail the `analyze` gate.
     Warn,
     /// Reported and fails the `analyze` gate (nonzero exit).
@@ -24,22 +21,9 @@ pub enum Level {
 impl fmt::Display for Level {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
-            Level::Allow => "allow",
             Level::Warn => "warn",
             Level::Deny => "deny",
         })
-    }
-}
-
-impl Level {
-    /// Parses a level name (`allow`/`warn`/`deny`).
-    pub fn parse(s: &str) -> Option<Level> {
-        match s {
-            "allow" => Some(Level::Allow),
-            "warn" => Some(Level::Warn),
-            "deny" => Some(Level::Deny),
-            _ => None,
-        }
     }
 }
 
@@ -50,7 +34,7 @@ pub struct Lint {
     pub code: &'static str,
     /// Kebab-case name (the rustc-style handle).
     pub name: &'static str,
-    /// Severity unless overridden.
+    /// Severity of every finding.
     pub default_level: Level,
     /// One-line description of what the lint catches.
     pub summary: &'static str,
@@ -180,7 +164,7 @@ declare_lints! {
         "cache geometry is degenerate (sector/line split, ATA banking, or zero sets)"
     },
     /// Two warps of one CTA conflict on a word with no ordering barrier.
-    /// Warn by default: the suite's irregular kernels (BFS visited
+    /// Warn, not deny: the suite's irregular kernels (BFS visited
     /// flags, HST bin scatters) model real benign idempotent races.
     INTRA_CTA_RACE = {
         "CL101", "intra-cta-race", Warn,
@@ -300,7 +284,7 @@ pub struct Diagnostic {
     pub code: &'static str,
     /// Lint name.
     pub name: &'static str,
-    /// Effective level after overrides.
+    /// The lint's level.
     pub level: Level,
     /// What was being checked, e.g. `MM/GTX570/CLU+TOT`.
     pub subject: String,
@@ -312,39 +296,21 @@ pub struct Diagnostic {
 #[derive(Debug, Default)]
 pub struct Report {
     diags: Vec<Diagnostic>,
-    overrides: HashMap<&'static str, Level>,
     subjects_checked: u64,
 }
 
 impl Report {
-    /// An empty report with default lint levels.
+    /// An empty report.
     pub fn new() -> Self {
         Report::default()
     }
 
-    /// Overrides a lint's level (the `-A`/`-W`/`-D` equivalent).
-    pub fn set_level(&mut self, lint: &'static Lint, level: Level) {
-        self.overrides.insert(lint.code, level);
-    }
-
-    /// The effective level of `lint` under the current overrides.
-    pub fn level_of(&self, lint: &'static Lint) -> Level {
-        self.overrides
-            .get(lint.code)
-            .copied()
-            .unwrap_or(lint.default_level)
-    }
-
-    /// Emits one finding. `Allow`-level findings are dropped.
+    /// Emits one finding at its lint's level.
     pub fn emit(&mut self, lint: &'static Lint, subject: &str, message: String) {
-        let level = self.level_of(lint);
-        if level == Level::Allow {
-            return;
-        }
         self.diags.push(Diagnostic {
             code: lint.code,
             name: lint.name,
-            level,
+            level: lint.default_level,
             subject: subject.to_string(),
             message,
         });
@@ -433,18 +399,6 @@ mod tests {
             &AGENT_COVERAGE
         ));
         assert!(lint_by_code("CL999").is_none());
-    }
-
-    #[test]
-    fn overrides_change_effective_level() {
-        let mut r = Report::new();
-        r.set_level(&AGENT_COVERAGE, Level::Warn);
-        r.emit(&AGENT_COVERAGE, "a", "x".into());
-        assert_eq!(r.deny_count(), 0);
-        assert_eq!(r.warn_count(), 1);
-        r.set_level(&AGENT_COVERAGE, Level::Allow);
-        r.emit(&AGENT_COVERAGE, "a", "y".into());
-        assert_eq!(r.warn_count(), 1, "allow-level findings are dropped");
     }
 
     #[test]

@@ -4,8 +4,11 @@
 //! over `(cycles, L2 transactions)` as JSON (`dse-sweep/v1`) on stdout.
 //!
 //! Usage:
-//!   dse [--reduced | --config <path>] [--no-prune] [--out <path>]
-//!       [--out-front <path>]
+//!
+//! ```text
+//! dse [--reduced | --config <path>] [--no-prune] [--out <path>]
+//!     [--out-front <path>]
+//! ```
 //!
 //! `--reduced` runs the built-in CI smoke grid (Fermi, NW + BS, 3 L1
 //! sizes × 2 way counts × 2 index functions, 2 `MAX_AGENTS` caps,

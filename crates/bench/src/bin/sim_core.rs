@@ -9,7 +9,10 @@
 //! CI can gate on it.
 //!
 //! Usage:
-//!   sim_core [--reduced] [--arch ata] [--profile] [--check <path>] [--out <path>]
+//!
+//! ```text
+//! sim_core [--reduced] [--arch ata] [--profile] [--check <path>] [--out <path>]
+//! ```
 //!
 //! `--reduced` runs a small Fermi-only subset (the CI smoke matrix).
 //! `--arch ata` appends the aggregated-tag-array sweep: every Table 2

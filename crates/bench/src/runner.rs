@@ -88,7 +88,7 @@ const DEFAULT_WARP_SIZE: u32 = 32;
 /// (which need `Clone`) can wrap suite entries. Backed by `Arc` so the
 /// handle can cross thread boundaries in the parallel harness.
 ///
-/// The handle also owns the per-app [`ProgramCache`]: every clone — and
+/// The handle also owns the per-app `ProgramCache`: every clone — and
 /// therefore every transform wrapping one — serves warp programs from
 /// the same shared arena through [`KernelSpec::warp_program_arc`].
 #[derive(Clone)]
@@ -144,9 +144,6 @@ impl KernelSpec for SharedKernel {
     }
     fn warp_program(&self, ctx: &CtaContext, warp: u32) -> Program {
         self.inner.warp_program(ctx, warp)
-    }
-    fn warp_program_into(&self, ctx: &CtaContext, warp: u32, out: &mut Program) {
-        self.inner.warp_program_into(ctx, warp, out)
     }
     fn warp_program_arc(&self, ctx: &CtaContext, warp: u32) -> Option<Arc<[Op]>> {
         self.cache.get_or_fill(&*self.inner, ctx, warp)
@@ -287,16 +284,11 @@ impl AppPlan {
     }
 
     /// Prepares `workload` for evaluation on *exactly* `cfg` — no
-    /// `prefer_l1` adjustment. This is the DSE entry point: a sweep that
+    /// `prefer_l1` adjustment — with `MAX_AGENTS` capped below the
+    /// occupancy bound (the DSE sweep's `max_agents` axis; `None` keeps
+    /// the occupancy bound). This is the DSE entry point: a sweep that
     /// varies L1 geometry must see the geometry it asked for, not the
     /// preset's preference heuristic.
-    pub fn with_config(cfg: GpuConfig, workload: Box<dyn Workload>) -> AppPlan {
-        AppPlan::build(cfg, SharedKernel::new(workload), None)
-    }
-
-    /// [`AppPlan::with_config`] with `MAX_AGENTS` capped below the
-    /// occupancy bound — the DSE sweep's `max_agents` axis. `None`
-    /// keeps the occupancy bound.
     pub fn with_config_capped(
         cfg: GpuConfig,
         workload: Box<dyn Workload>,

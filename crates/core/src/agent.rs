@@ -23,6 +23,7 @@ use gpu_sim::{
     occupancy, ArchGen, CacheOp, CtaContext, GpuConfig, KernelSpec, LaunchConfig, MemAccess, Op,
     Program, ProgramBuilder,
 };
+use std::sync::Arc;
 
 /// Collects the first `depth` L1-cacheable loads of `ops` as
 /// non-blocking `PrefetchL1` copies (the reshaped-order prefetch body,
@@ -38,6 +39,45 @@ fn collect_prefetches(ops: &[Op], depth: usize, out: &mut Vec<Op>) {
             })
             .take(depth),
     );
+}
+
+/// One task's inner program: replayed from the inner kernel's shared
+/// program cache, or generated.
+enum TaskOps {
+    Replayed(Arc<[Op]>),
+    Generated(Program),
+}
+
+impl TaskOps {
+    fn ops(&self) -> &[Op] {
+        match self {
+            TaskOps::Replayed(ops) => ops,
+            TaskOps::Generated(ops) => ops,
+        }
+    }
+
+    /// Appends the task to `out` with `prefetches` spliced in before its
+    /// last op (bare, for an empty task). Replayed ops stay zero-copy
+    /// segments.
+    fn push_into(self, out: &mut ProgramBuilder, prefetches: &mut Vec<Op>) {
+        let len = self.ops().len();
+        let at = if prefetches.is_empty() {
+            len
+        } else {
+            len.saturating_sub(1)
+        };
+        match self {
+            TaskOps::Replayed(ops) => {
+                out.push_shared_range(&ops, 0, at);
+                prefetches.drain(..).for_each(|p| out.push(p));
+                out.push_shared_range(&ops, at, len);
+            }
+            TaskOps::Generated(mut ops) => {
+                ops.splice(at..at, prefetches.drain(..));
+                ops.into_iter().for_each(|op| out.push(op));
+            }
+        }
+    }
 }
 
 /// A kernel transformed by agent-based clustering.
@@ -185,12 +225,6 @@ impl<K: KernelSpec> AgentKernel<K> {
         self.active_agents
     }
 
-    /// Prefetch depth: leading loads of the next task issued early
-    /// (0 = prefetching disabled).
-    pub fn prefetch_depth(&self) -> usize {
-        self.prefetch_depth
-    }
-
     /// The architecture generation the transform was built against.
     pub fn arch(&self) -> ArchGen {
         self.arch
@@ -233,6 +267,60 @@ impl<K: KernelSpec> AgentKernel<K> {
             ctx.arrival % self.max_agents as u64
         }
     }
+
+    /// The agent program (Listing 5): the binding prologue, then every
+    /// task of the agent's cluster stride, each with the next task's
+    /// leading loads prefetched (§4.3-(III)). With `replay`, task
+    /// programs the inner kernel serves through
+    /// [`KernelSpec::warp_program_arc`] splice in as shared segments (the
+    /// engine's path); without it every task is generated, so a static
+    /// walk never fills the inner kernel's program cache.
+    fn emit(&self, ctx: &CtaContext, warp: u32, out: &mut ProgramBuilder, replay: bool) {
+        let agent_id = self.agent_id(ctx);
+        let throttled = agent_id >= self.active_agents as u64;
+        if self.arch.static_warp_slot_binding() {
+            if throttled {
+                return; // surplus static agent: empty program
+            }
+        } else {
+            // SM-based binding overhead (Maxwell/Pascal path): thread 0
+            // bids on a global atomic, everyone waits on the broadcast.
+            if warp == 0 {
+                out.push(Op::Atomic(MemAccess::scalar(
+                    COUNTER_TAG,
+                    counter_addr(ctx.sm_id),
+                    4,
+                )));
+            }
+            out.push(Op::Compute(BROADCAST_COST));
+            out.push(Op::Barrier);
+            if throttled {
+                // `if (agent_id >= ACTIVE_AGENTS) return;` after the
+                // prologue, so the CTA's barrier stays matched.
+                return;
+            }
+        }
+        let task = |cta| {
+            let task_ctx = CtaContext { cta, ..*ctx };
+            match replay
+                .then(|| self.inner.warp_program_arc(&task_ctx, warp))
+                .flatten()
+            {
+                Some(ops) => TaskOps::Replayed(ops),
+                None => TaskOps::Generated(self.inner.warp_program(&task_ctx, warp)),
+            }
+        };
+        let tasks = self.tasks_of(ctx.sm_id, agent_id);
+        let mut prefetches = Vec::new();
+        for (k, &v) in tasks.iter().enumerate() {
+            if self.prefetch_depth > 0 {
+                if let Some(&next) = tasks.get(k + 1) {
+                    collect_prefetches(task(next).ops(), self.prefetch_depth, &mut prefetches);
+                }
+            }
+            task(v).push_into(out, &mut prefetches);
+        }
+    }
 }
 
 impl<K: KernelSpec> KernelSpec for AgentKernel<K> {
@@ -255,139 +343,13 @@ impl<K: KernelSpec> KernelSpec for AgentKernel<K> {
     }
 
     fn warp_program(&self, ctx: &CtaContext, warp: u32) -> Program {
-        let mut prog = Program::new();
-        self.warp_program_into(ctx, warp, &mut prog);
-        prog
-    }
-
-    fn warp_program_into(&self, ctx: &CtaContext, warp: u32, out: &mut Program) {
-        out.clear();
-        // SM-based binding overhead (Listing 5, Maxwell/Pascal path):
-        // thread 0 bids on a global atomic, everyone waits on the
-        // broadcast.
-        if !self.arch.static_warp_slot_binding() {
-            if warp == 0 {
-                out.push(Op::Atomic(MemAccess::scalar(
-                    COUNTER_TAG,
-                    counter_addr(ctx.sm_id),
-                    4,
-                )));
-            }
-            out.push(Op::Compute(BROADCAST_COST));
-            out.push(Op::Barrier);
-        }
-        let agent_id = self.agent_id(ctx);
-        if agent_id >= self.active_agents as u64 {
-            // Throttled: `if (agent_id >= ACTIVE_AGENTS) return;`.
-            // The binding prologue ran, but a lone prologue would leave
-            // this CTA's barrier unmatched relative to peers that run
-            // tasks — and an all-Compute retirement is cheaper anyway.
-            if self.arch.static_warp_slot_binding() {
-                out.clear();
-            }
-            return;
-        }
-        // Walk the task list arithmetically; `body` and `next_prog` are
-        // scratch buffers shared by every task of this warp, so building
-        // the full program costs O(1) allocations instead of O(tasks).
-        let tasks = self.tasks_of(ctx.sm_id, agent_id);
-        let mut body = Program::new();
-        let mut next_prog = Program::new();
-        for (k, &v) in tasks.iter().enumerate() {
-            let task_ctx = CtaContext { cta: v, ..*ctx };
-            self.inner.warp_program_into(&task_ctx, warp, &mut body);
-            // Reshaped-order prefetching: pull the next task's leading
-            // loads while this task runs.
-            if self.prefetch_depth > 0 {
-                if let Some(&next) = tasks.get(k + 1) {
-                    let next_ctx = CtaContext { cta: next, ..*ctx };
-                    self.inner
-                        .warp_program_into(&next_ctx, warp, &mut next_prog);
-                    let mut prefetches: Vec<Op> = Vec::new();
-                    collect_prefetches(&next_prog, self.prefetch_depth, &mut prefetches);
-                    let at = body.len().saturating_sub(1);
-                    for (off, p) in prefetches.into_iter().enumerate() {
-                        body.insert(at.min(body.len()) + off, p);
-                    }
-                }
-            }
-            out.append(&mut body);
-        }
+        let mut out = ProgramBuilder::default();
+        self.emit(ctx, warp, &mut out, false);
+        out.into_ops()
     }
 
     fn warp_program_build(&self, ctx: &CtaContext, warp: u32, out: &mut ProgramBuilder) {
-        // Same program as `warp_program_into`, but task bodies served
-        // from the inner kernel's shared-program cache replay as
-        // zero-copy segments instead of being regenerated per variant.
-        // Prefetches splice between segments exactly where the owned
-        // path inserts them: before the last op of the current task.
-        let agent_id = self.agent_id(ctx);
-        let throttled = agent_id >= self.active_agents as u64;
-        if self.arch.static_warp_slot_binding() {
-            if throttled {
-                return; // surplus static agent: empty program
-            }
-        } else {
-            if warp == 0 {
-                out.push(Op::Atomic(MemAccess::scalar(
-                    COUNTER_TAG,
-                    counter_addr(ctx.sm_id),
-                    4,
-                )));
-            }
-            out.push(Op::Compute(BROADCAST_COST));
-            out.push(Op::Barrier);
-            if throttled {
-                return; // surplus dynamic agent: binding prologue only
-            }
-        }
-        let tasks = self.tasks_of(ctx.sm_id, agent_id);
-        let mut scratch = Program::new();
-        let mut next_scratch = Program::new();
-        let mut prefetches: Vec<Op> = Vec::new();
-        for (k, &v) in tasks.iter().enumerate() {
-            prefetches.clear();
-            if self.prefetch_depth > 0 {
-                if let Some(&next) = tasks.get(k + 1) {
-                    let next_ctx = CtaContext { cta: next, ..*ctx };
-                    if let Some(arc) = self.inner.warp_program_arc(&next_ctx, warp) {
-                        collect_prefetches(&arc, self.prefetch_depth, &mut prefetches);
-                    } else {
-                        self.inner
-                            .warp_program_into(&next_ctx, warp, &mut next_scratch);
-                        collect_prefetches(&next_scratch, self.prefetch_depth, &mut prefetches);
-                    }
-                }
-            }
-            let task_ctx = CtaContext { cta: v, ..*ctx };
-            if let Some(arc) = self.inner.warp_program_arc(&task_ctx, warp) {
-                if prefetches.is_empty() {
-                    out.push_shared(&arc);
-                } else {
-                    let at = arc.len().saturating_sub(1);
-                    out.push_shared_range(&arc, 0, at);
-                    for p in prefetches.drain(..) {
-                        out.push(p);
-                    }
-                    out.push_shared_range(&arc, at, arc.len());
-                }
-            } else {
-                self.inner.warp_program_into(&task_ctx, warp, &mut scratch);
-                let at = scratch.len().saturating_sub(1);
-                for (i, op) in scratch.drain(..).enumerate() {
-                    if i == at {
-                        for p in prefetches.drain(..) {
-                            out.push(p);
-                        }
-                    }
-                    out.push(op);
-                }
-                // Empty task body: the owned path appends bare prefetches.
-                for p in prefetches.drain(..) {
-                    out.push(p);
-                }
-            }
-        }
+        self.emit(ctx, warp, out, true);
     }
 }
 
@@ -566,10 +528,11 @@ mod tests {
         }
     }
 
-    /// The segment-building path must emit exactly the op sequence the
-    /// legacy generation path produces — across static (Kepler) and
-    /// dynamic (Maxwell) binding, prefetch off/on, throttled and active
-    /// agents, and inner kernels with and without shared programs.
+    /// The one generator must emit the same op sequence whether it
+    /// replays cached task programs (`warp_program_build`) or generates
+    /// them (`warp_program`) — across static (Kepler) and dynamic
+    /// (Maxwell) binding, prefetch off/on, throttled and active agents,
+    /// and inner kernels with and without shared programs.
     #[test]
     fn builder_path_matches_generated_program() {
         let grid = Dim3::plane(8, 8);

@@ -43,17 +43,6 @@ impl<K: KernelSpec> BypassKernel<K> {
     pub fn tags(&self) -> &[ArrayTag] {
         &self.tags
     }
-
-    /// Rewrites cache-all loads of bypassed arrays to `ld.global.cg`.
-    fn apply_bypass(&self, prog: &mut Program) {
-        for op in prog {
-            if let gpu_sim::Op::Load(access) = op {
-                if access.cache_op == CacheOp::CacheAll && self.tags.contains(&access.tag) {
-                    access.cache_op = CacheOp::BypassL1;
-                }
-            }
-        }
-    }
 }
 
 impl<K: KernelSpec> KernelSpec for BypassKernel<K> {
@@ -67,13 +56,15 @@ impl<K: KernelSpec> KernelSpec for BypassKernel<K> {
 
     fn warp_program(&self, ctx: &CtaContext, warp: u32) -> Program {
         let mut prog = self.inner.warp_program(ctx, warp);
-        self.apply_bypass(&mut prog);
+        // Rewrite cache-all loads of bypassed arrays to `ld.global.cg`.
+        for op in &mut prog {
+            if let gpu_sim::Op::Load(access) = op {
+                if access.cache_op == CacheOp::CacheAll && self.tags.contains(&access.tag) {
+                    access.cache_op = CacheOp::BypassL1;
+                }
+            }
+        }
         prog
-    }
-
-    fn warp_program_into(&self, ctx: &CtaContext, warp: u32, out: &mut Program) {
-        self.inner.warp_program_into(ctx, warp, out);
-        self.apply_bypass(out);
     }
 }
 

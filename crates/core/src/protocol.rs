@@ -86,11 +86,6 @@ impl ProtocolSpec {
             .collect()
     }
 
-    /// Total tasks across all clusters.
-    pub fn total_tasks(&self) -> u64 {
-        self.cluster_sizes.iter().sum()
-    }
-
     /// Checks the spec's internal invariants (verifiers should refuse
     /// malformed specs rather than "prove" vacuous properties).
     pub fn validate(&self) -> Result<(), String> {
@@ -153,7 +148,6 @@ mod tests {
         assert_eq!(all, vec![0, 1, 2, 3, 4]);
         assert!(s.tasks_of(0, 2).is_empty(), "throttled agent idles");
         assert!(s.tasks_of(9, 0).is_empty(), "out-of-range SM");
-        assert_eq!(s.total_tasks(), 8);
     }
 
     #[test]

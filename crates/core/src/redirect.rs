@@ -90,12 +90,6 @@ impl<K: KernelSpec> KernelSpec for RedirectionKernel<K> {
         self.inner.warp_program(&redirected, warp)
     }
 
-    fn warp_program_into(&self, ctx: &CtaContext, warp: u32, out: &mut Program) {
-        let v = self.redirect(ctx.cta);
-        let redirected = CtaContext { cta: v, ..*ctx };
-        self.inner.warp_program_into(&redirected, warp, out);
-    }
-
     fn warp_program_arc(
         &self,
         ctx: &CtaContext,

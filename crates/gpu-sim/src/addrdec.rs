@@ -7,9 +7,9 @@
 //! would camp on a handful of sets or a single bank. The hardware hashes
 //! higher address bits into every index (`romnn/gpucachesim` models the
 //! same structure as an `addrdec` unit). This module centralizes that
-//! swizzling so every consumer — the set-associative arrays in
-//! [`crate::cache`], the banked L2 and DRAM channels in
-//! [`crate::memory`] — decodes addresses through one audited path.
+//! swizzling so every consumer — the set-associative arrays in the
+//! `cache` module, the banked L2 and DRAM channels in the `memory`
+//! module — decodes addresses through one audited path.
 //!
 //! Each dimension is a [`HashedIndex`]: a multiplicative (Fibonacci)
 //! hash followed by a reduction to the dimension size. Power-of-two

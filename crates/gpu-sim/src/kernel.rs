@@ -300,18 +300,6 @@ pub trait KernelSpec {
     /// CTA described by `ctx`.
     fn warp_program(&self, ctx: &CtaContext, warp: u32) -> Program;
 
-    /// Writes the instruction stream of warp `warp` into `out`, reusing
-    /// its allocation. The simulation engine dispatches every warp
-    /// through this method with recycled buffers, so kernels generating
-    /// many short programs can avoid one heap allocation per warp.
-    ///
-    /// The default clears `out` and delegates to
-    /// [`warp_program`](Self::warp_program); implementors only need to
-    /// override it when they can build the program in place.
-    fn warp_program_into(&self, ctx: &CtaContext, warp: u32, out: &mut Program) {
-        *out = self.warp_program(ctx, warp);
-    }
-
     /// The warp's whole program as a shared, immutable slice, when the
     /// kernel can serve one — e.g. from a cross-variant program cache.
     /// The engine prefers this over generation (zero-copy dispatch), and
@@ -328,16 +316,17 @@ pub trait KernelSpec {
 
     /// Builds the warp's program into `out`, possibly referencing shared
     /// cached segments (see [`ProgramBuilder`]). This is the engine's
-    /// dispatch path; the default delegates to
-    /// [`warp_program_into`](Self::warp_program_into) through the
-    /// builder's recycled inline buffer, so plain kernels behave exactly
-    /// as before. Transforms that concatenate inner programs override it
-    /// to splice in [`warp_program_arc`](Self::warp_program_arc) slices.
+    /// dispatch path; the default replays
+    /// [`warp_program_arc`](Self::warp_program_arc) when it serves one
+    /// and otherwise stores [`warp_program`](Self::warp_program)'s
+    /// result as the builder's inline buffer. Transforms that
+    /// concatenate inner programs override it to splice in shared
+    /// slices; the ops must equal what `warp_program` generates.
     fn warp_program_build(&self, ctx: &CtaContext, warp: u32, out: &mut ProgramBuilder) {
         if let Some(ops) = self.warp_program_arc(ctx, warp) {
             out.push_shared(&ops);
         } else {
-            self.warp_program_into(ctx, warp, out.inline_ops());
+            *out.inline_ops() = self.warp_program(ctx, warp);
         }
     }
 }
@@ -351,9 +340,6 @@ impl<K: KernelSpec + ?Sized> KernelSpec for &K {
     }
     fn warp_program(&self, ctx: &CtaContext, warp: u32) -> Program {
         (**self).warp_program(ctx, warp)
-    }
-    fn warp_program_into(&self, ctx: &CtaContext, warp: u32, out: &mut Program) {
-        (**self).warp_program_into(ctx, warp, out)
     }
     fn warp_program_arc(&self, ctx: &CtaContext, warp: u32) -> Option<std::sync::Arc<[Op]>> {
         (**self).warp_program_arc(ctx, warp)
@@ -372,9 +358,6 @@ impl<K: KernelSpec + ?Sized> KernelSpec for Box<K> {
     }
     fn warp_program(&self, ctx: &CtaContext, warp: u32) -> Program {
         (**self).warp_program(ctx, warp)
-    }
-    fn warp_program_into(&self, ctx: &CtaContext, warp: u32, out: &mut Program) {
-        (**self).warp_program_into(ctx, warp, out)
     }
     fn warp_program_arc(&self, ctx: &CtaContext, warp: u32) -> Option<std::sync::Arc<[Op]>> {
         (**self).warp_program_arc(ctx, warp)

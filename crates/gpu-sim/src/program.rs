@@ -124,9 +124,8 @@ impl WarpProgram {
 /// Builder handed to [`crate::KernelSpec::warp_program_build`]: kernels
 /// append owned ops and/or shared program slices in execution order.
 ///
-/// Kernels that only implement the legacy generation path never see
-/// shared segments; their ops accumulate into one recycled buffer and
-/// the result is exactly the pre-segment `Vec<Op>` program.
+/// Kernels that push no shared segment build one inline buffer, and the
+/// result is exactly the plain `Vec<Op>` program.
 #[derive(Debug, Default)]
 pub struct ProgramBuilder {
     pending: Vec<Op>,
@@ -172,14 +171,13 @@ impl ProgramBuilder {
         });
     }
 
-    /// The inline op buffer, for legacy `warp_program_into`-style
-    /// generation. Only meaningful while no shared segment has been
-    /// pushed; the default [`crate::KernelSpec::warp_program_build`]
-    /// writes the whole program through this.
-    pub fn inline_ops(&mut self) -> &mut Vec<Op> {
+    /// The inline op buffer. Only meaningful while no shared segment has
+    /// been pushed; the default [`crate::KernelSpec::warp_program_build`]
+    /// stores the whole generated program here.
+    pub(crate) fn inline_ops(&mut self) -> &mut Vec<Op> {
         debug_assert!(
             self.parts.is_empty(),
-            "inline_ops is the whole-program legacy bridge"
+            "inline_ops holds whole programs only"
         );
         &mut self.pending
     }
@@ -199,9 +197,12 @@ impl ProgramBuilder {
     }
 
     /// Materializes the built program into a flat op vector, in execution
-    /// order. Test and analysis helper: the engine consumes the segmented
-    /// form directly and never flattens.
+    /// order; an all-inline program returns its buffer uncopied. The
+    /// engine consumes the segmented form directly and never flattens.
     pub fn into_ops(self) -> Vec<Op> {
+        if self.parts.is_empty() {
+            return self.pending;
+        }
         let (prog, _) = self.finish();
         let mut out = Vec::with_capacity(prog.len());
         let mut cur = Cursor::default();

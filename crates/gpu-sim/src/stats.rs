@@ -90,15 +90,6 @@ impl RunStats {
             .map(|p| p.sm_id)
     }
 
-    /// All CTAs that ran on `sm_id`, in dispatch order.
-    pub fn ctas_on_sm(&self, sm_id: usize) -> Vec<u64> {
-        self.placements
-            .iter()
-            .filter(|p| p.sm_id == sm_id)
-            .map(|p| p.cta)
-            .collect()
-    }
-
     /// Emits this run's telemetry onto a recorder: per-SM L1
     /// hit/reserved/miss/eviction/bypass counters (keys `{scope}/smN`),
     /// each eviction count split into clean vs dirty (writeback), plus
@@ -190,8 +181,6 @@ mod tests {
         let s = dummy(10, 0);
         assert_eq!(s.sm_of(0), Some(3));
         assert_eq!(s.sm_of(99), None);
-        assert_eq!(s.ctas_on_sm(3), vec![0]);
-        assert!(s.ctas_on_sm(0).is_empty());
     }
 
     #[test]

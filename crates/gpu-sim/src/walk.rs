@@ -89,21 +89,17 @@ pub fn dispatch_contexts(
 
 /// Walks every warp program of `kernel` under idealized-RR dispatch,
 /// invoking `f(ctx, warp, program)` once per (CTA, warp) pair in
-/// deterministic order (CTA-major, warp-minor).
-///
-/// Program buffers are recycled across calls, so the walk performs O(1)
-/// allocations regardless of grid size.
+/// deterministic order (CTA-major, warp-minor). Each program comes from
+/// one [`KernelSpec::warp_program`] call.
 pub fn each_warp_program<K, F>(kernel: &K, num_sms: usize, warp_size: u32, mut f: F)
 where
     K: KernelSpec + ?Sized,
     F: FnMut(&CtaContext, u32, &Program),
 {
     let warps = kernel.launch().warps_per_cta(warp_size.max(1));
-    let mut prog = Program::new();
     for ctx in dispatch_contexts(kernel, num_sms) {
         for warp in 0..warps {
-            kernel.warp_program_into(&ctx, warp, &mut prog);
-            f(&ctx, warp, &prog);
+            f(&ctx, warp, &kernel.warp_program(&ctx, warp));
         }
     }
 }

@@ -133,38 +133,11 @@ impl ReuseDistance {
         self.histogram.values().sum()
     }
 
-    /// Fraction of reuses whose stack distance fits within a cache of
-    /// `capacity_lines` fully-associative lines — an upper bound on the
-    /// achievable hit rate at that capacity.
-    pub fn hit_fraction_at(&self, capacity_lines: u64) -> f64 {
-        let total = self.reuses();
-        if total == 0 {
-            return 0.0;
-        }
-        let fits: u64 = self
-            .histogram
-            .iter()
-            .filter(|(d, _)| **d < capacity_lines)
-            .map(|(_, n)| *n)
-            .sum();
-        fits as f64 / total as f64
-    }
-
     /// The full distance histogram, sorted by distance.
     pub fn histogram(&self) -> Vec<(u64, u64)> {
         let mut h: Vec<(u64, u64)> = self.histogram.iter().map(|(&d, &n)| (d, n)).collect();
         h.sort_unstable();
         h
-    }
-
-    /// Mean stack distance over all reuses (`None` when no reuse).
-    pub fn mean_distance(&self) -> Option<f64> {
-        let total = self.reuses();
-        if total == 0 {
-            return None;
-        }
-        let sum: u64 = self.histogram.iter().map(|(&d, &n)| d * n).sum();
-        Some(sum as f64 / total as f64)
     }
 }
 
@@ -215,9 +188,7 @@ mod tests {
         }
         // Each of the 8 reuses has distance 7.
         assert_eq!(rd.reuses(), 8);
-        assert_eq!(rd.hit_fraction_at(8), 1.0);
-        assert_eq!(rd.hit_fraction_at(7), 0.0);
-        assert_eq!(rd.mean_distance(), Some(7.0));
+        assert_eq!(rd.histogram(), vec![(7, 8)]);
     }
 
     #[test]

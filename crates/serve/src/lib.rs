@@ -17,7 +17,7 @@
 //!   hit/miss conservation accounting.
 //! * [`server`] — the worker pool: bounded queue, overload shedding,
 //!   per-request deadlines, ordered writer, graceful shutdown.
-//! * [`bench`] — the `serve-bench/v1` throughput benchmark behind the
+//! * [`mod@bench`] — the `serve-bench/v1` throughput benchmark behind the
 //!   committed `BENCH_serve.json` artifact.
 //!
 //! Responses are **byte-identical across worker counts**: planning is a
