@@ -220,38 +220,29 @@ fn main() -> ExitCode {
     }
     jobs.push(Job::Arithmetic);
 
-    let root_span = cta_obs::span("bin/analyze");
-
     // Jobs run on the harness pool, which returns results in job order,
     // so the merged report is byte-identical for any worker count. A
     // panic is caught inside its job and downgraded to the
     // internal-error exit.
-    let reports = cluster_bench::par::par_map(&jobs, opts.threads, |job| {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_job(job, &presets))).ok()
+    let report = cluster_bench::with_obs("analyze", || {
+        let reports = cluster_bench::par::par_map(&jobs, opts.threads, |job| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_job(job, &presets))).ok()
+        });
+        let mut report = Report::new();
+        for r in reports {
+            report.merge(r?);
+        }
+        if opts.json {
+            println!("{}", render_json(&report));
+        } else {
+            print!("{}", report.render_human());
+        }
+        Some(report)
     });
-    let Some(reports) = reports.into_iter().collect::<Option<Vec<Report>>>() else {
+    let Some(report) = report else {
         eprintln!("analyze: internal error: an analysis worker panicked");
         return ExitCode::from(2);
     };
-    let mut report = Report::new();
-    for r in reports {
-        report.merge(r);
-    }
-
-    if opts.json {
-        println!("{}", render_json(&report));
-    } else {
-        print!("{}", report.render_human());
-    }
-
-    drop(root_span);
-    if let Some((jsonl, trace)) = cta_obs::export_global("analyze") {
-        eprintln!(
-            "telemetry: wrote {} and {}",
-            jsonl.display(),
-            trace.display()
-        );
-    }
 
     if report.deny_count() > 0 {
         ExitCode::FAILURE
@@ -302,7 +293,10 @@ fn verify_costmodel() -> ExitCode {
             // per-set model to exact equality against the counters.
             let model = summary.set_conflicts(&plan.cfg);
             let (_, _, profile) = plan
-                .run_profiled(req)
+                .with_variant_kernel(req, |k| {
+                    gpu_sim::Simulation::new(plan.cfg.clone(), k).run_profiled()
+                })
+                .expect("variant kernel was just simulated")
                 .expect("request was just simulated without the profile");
             let m = setmodel::check_profile(&model, &profile, &subject, &mut report);
             mismatches += m;

@@ -176,19 +176,6 @@ pub fn analyze_workload(workload: Box<dyn Workload>, base_cfg: &GpuConfig, repor
     plan_audit::audit(&plan, &profile, max_agents, &format!("{base}/plan"), report);
 }
 
-/// Analyzes every workload of the Figure 3 suite (the full 33-kernel
-/// set) on `base_cfg`, returning a fresh report.
-pub fn analyze_arch(base_cfg: &GpuConfig) -> Report {
-    let mut report = Report::new();
-    for w in gpu_kernels::suite::fig3_suite(base_cfg.arch) {
-        analyze_workload(w, base_cfg, &mut report);
-    }
-    // Pass family 4b: bounded model checking of the binding protocol
-    // under this architecture's binding mode.
-    crate::modelcheck::check_arch(base_cfg, &mut report);
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

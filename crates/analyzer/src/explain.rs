@@ -167,10 +167,11 @@ pub fn explanation(code: &str) -> Option<&'static str> {
         }
         "CL034" => {
             "The cache geometry cannot be modeled sanely: a sector size that \
-             does not divide the line size, an aggregated-tag array over a \
-             non-power-of-two bank count, or a zero-set array. The simulator \
-             would panic in its constructors; the analyzer fails the gate \
-             instead.\n\n\
+             does not divide the line size, an array (as configured, or as \
+             carved into L1 sector arrays and L2 banks) that holds no whole \
+             sets, or an aggregated-tag array over a non-power-of-two bank \
+             count. The simulator refuses to run such a configuration; the \
+             analyzer fails the gate at plan-audit time instead.\n\n\
              Fix the `CacheConfig` the sweep or preset generated."
         }
         "CL101" => {

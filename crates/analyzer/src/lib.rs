@@ -61,6 +61,6 @@ pub mod setmodel;
 pub mod transform;
 
 pub use diag::{lint_by_code, lint_by_name, Diagnostic, Level, Lint, Report, LINTS};
-pub use driver::{analyze_arch, analyze_workload};
+pub use driver::analyze_workload;
 pub use json::render_json;
 pub use profile::StaticProfile;

@@ -13,7 +13,7 @@ use crate::diag::{
 };
 use crate::profile::StaticProfile;
 use cta_clustering::{clamp_active_agents, Plan};
-use gpu_sim::{CacheConfig, GpuConfig};
+use gpu_sim::GpuConfig;
 
 /// A bypassed tag with at least this static word-reuse rate is flagged.
 const BYPASS_TAG_REUSE_MAX: f64 = 0.05;
@@ -157,52 +157,21 @@ pub fn audit_served(
     clean
 }
 
-/// Audits the cache geometry a plan will run on, emitting CL034 for
-/// shapes the engine cannot model sanely: a sector size that does not
-/// evenly split the line (or splits it into more sectors than the `u32`
-/// state masks hold), an aggregated-tag array over a non-power-of-two
-/// bank/sector split, or an array whose size, line and associativity
-/// leave zero sets. The engine's constructors panic on these; the lint
-/// turns that panic into an analyze-gate failure at plan-audit time.
+/// Audits the cache geometry a plan will run on, emitting CL034 when
+/// [`GpuConfig::validate`] rejects it (a sector size that does not split
+/// the line, a configured or carved array that holds no whole sets) or
+/// when an aggregated-tag array sits over a non-power-of-two bank or
+/// sector split, which no constructor checks. The engine refuses or
+/// mis-models these; the lint turns that into an analyze-gate failure
+/// at plan-audit time.
 pub fn check_cache_geometry(cfg: &GpuConfig, subject: &str, report: &mut Report) {
-    let mut check = |level: &str, c: &CacheConfig, split: u32, split_what: &str| {
-        // The engine carves the configured array into `split` equal
-        // sub-arrays (L1 CTA-slot sectors, L2 banks) before computing
-        // sets, so the degenerate-set check applies to the carved size.
-        let sub_bytes = c.size_bytes.checked_div(split).unwrap_or(0);
-        let line_cost = c.line_bytes.saturating_mul(c.associativity);
-        if split == 0 || line_cost == 0 || sub_bytes / line_cost == 0 {
-            report.emit(
-                &DEGENERATE_CACHE_GEOMETRY,
-                subject,
-                format!(
-                    "{level}: {sub_bytes}B per {split_what} holds zero sets \
-                     of {}B lines x {} ways",
-                    c.line_bytes, c.associativity
-                ),
-            );
-        }
-        if c.sector_bytes != 0 {
-            if !c.sector_bytes.is_power_of_two() || !c.line_bytes.is_multiple_of(c.sector_bytes) {
-                report.emit(
-                    &DEGENERATE_CACHE_GEOMETRY,
-                    subject,
-                    format!(
-                        "{level}: sector size {}B does not evenly split the {}B line",
-                        c.sector_bytes, c.line_bytes
-                    ),
-                );
-            } else if c.line_bytes / c.sector_bytes > 32 {
-                report.emit(
-                    &DEGENERATE_CACHE_GEOMETRY,
-                    subject,
-                    format!(
-                        "{level}: {} sectors per line exceed the 32-bit sector state masks",
-                        c.line_bytes / c.sector_bytes
-                    ),
-                );
-            }
-        }
+    if let Err(e) = cfg.validate() {
+        report.emit(&DEGENERATE_CACHE_GEOMETRY, subject, e.to_string());
+    }
+    for (level, c, split, split_what) in [
+        ("L1", &cfg.l1, cfg.l1_sectors, "sector array"),
+        ("L2", &cfg.l2, cfg.timings.l2_banks, "bank"),
+    ] {
         if c.aggregated_tags && !split.is_power_of_two() {
             report.emit(
                 &DEGENERATE_CACHE_GEOMETRY,
@@ -213,9 +182,7 @@ pub fn check_cache_geometry(cfg: &GpuConfig, subject: &str, report: &mut Report)
                 ),
             );
         }
-    };
-    check("L1", &cfg.l1, cfg.l1_sectors, "sector array");
-    check("L2", &cfg.l2, cfg.timings.l2_banks, "bank");
+    }
 }
 
 #[cfg(test)]

@@ -3,9 +3,7 @@
 //! programs ([`locality::static_trace`]) — no timing model involved.
 
 use gpu_sim::{AccessEvent, ArrayTag, FxHashSet, GpuConfig, KernelSpec, TraceSink};
-use locality::{
-    classify, static_trace, Category, CategoryProfiler, Signature, TagReuseProfiler, TagSummary,
-};
+use locality::{static_trace, Category, CategoryProfiler, Signature, TagReuseProfiler, TagSummary};
 
 /// The statically derived locality profile of one kernel on one GPU.
 #[derive(Debug)]
@@ -57,19 +55,9 @@ impl StaticProfile {
         }
     }
 
-    /// Re-runs the classification (e.g. after threshold changes).
-    pub fn classify(&self) -> Category {
-        classify(&self.signature)
-    }
-
     /// Word-reuse summary of one tag.
     pub fn tag_summary(&self, tag: ArrayTag) -> TagSummary {
         self.tags.summary(tag)
-    }
-
-    /// All tags observed, sorted.
-    pub fn tags(&self) -> Vec<ArrayTag> {
-        self.tags.summaries().into_iter().map(|(t, _)| t).collect()
     }
 
     /// Tags the kernel stores to or atomics, sorted. A read of any other

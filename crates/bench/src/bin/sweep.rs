@@ -4,7 +4,7 @@
 //!
 //! Usage: `cargo run --release -p cluster-bench --bin sweep -- [fermi|kepler|maxwell|pascal]`
 
-use cluster_bench::{configured_threads, evaluate_arch_par, RunClock, Variant};
+use cluster_bench::{configured_threads, evaluate_matrix, RunClock, Variant};
 use cta_clustering::ClusterError;
 use gpu_sim::arch;
 
@@ -27,7 +27,8 @@ fn run() -> Result<(), ClusterError> {
     let threads = configured_threads();
     let clock = RunClock::start(threads);
     println!("=== {} ===", cfg.name);
-    for eval in &evaluate_arch_par(&cfg, threads)?.apps {
+    let evals = evaluate_matrix(std::slice::from_ref(&cfg), threads)?;
+    for eval in evals.iter().flat_map(|arch| &arch.apps) {
         println!(
             "{:4} [{:12}] RD {:4.2}x CLU {:4.2}x TOT({}) {:4.2}x BPS {:4.2}x PFH {:4.2}x | L2 TOT {:4.2} | l1hr {:4.2}->{:4.2}",
             eval.info.abbr,

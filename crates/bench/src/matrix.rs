@@ -118,14 +118,7 @@ pub fn drive_matrix(
         };
         for workload in workloads {
             let plan = AppPlan::new(cfg, workload);
-            let mut phase_a: Vec<RunStats> = Vec::new();
-            for req in plan.phase_a() {
-                phase_a.push(metered(&plan, req, totals, observe)?);
-            }
-            let chosen = plan.select_throttle(&phase_a);
-            for req in plan.phase_b(chosen.0) {
-                metered(&plan, req, totals, observe)?;
-            }
+            plan.evaluate(|req| metered(&plan, req, totals, observe))?;
             let (hits, fills) = plan.cache_counters();
             totals.cache_hits += hits;
             totals.cache_fills += fills;

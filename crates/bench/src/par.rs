@@ -1,22 +1,25 @@
-//! Parallel evaluation engine: fans the independent simulations of the
-//! Figure 12/13 matrix across OS threads.
+//! Parallel evaluation engine: fans the apps of the Figure 12/13 matrix
+//! across OS threads.
 //!
 //! Each simulation is single-threaded and deterministic; what this
-//! module parallelizes is the *matrix* — app × architecture × variant,
-//! with every throttle-sweep candidate as its own job. Work is
-//! distributed through an index-keyed job queue (`std::thread::scope` +
-//! `std::sync::mpsc`; zero external dependencies) and results land in
-//! preallocated slots keyed by job index, so output is byte-identical to
-//! the serial path regardless of thread count or scheduling order.
+//! module parallelizes is the *matrix*, one job per app × architecture.
+//! A job runs the app's whole evaluation through [`AppPlan::evaluate`]
+//! (phase A, throttle selection, phase B). Jobs are queued app-major
+//! and distributed through an index-keyed job queue
+//! (`std::thread::scope` + `std::sync::mpsc`; zero external
+//! dependencies); results land in preallocated slots keyed by job
+//! index, so output is byte-identical regardless of thread count or
+//! scheduling order.
 //!
 //! Thread count comes from the `CLUSTER_BENCH_THREADS` environment
 //! variable; unset defaults to [`std::thread::available_parallelism`],
-//! and `1` selects the legacy serial path (no threads spawned at all).
+//! and `1` runs every job inline on the calling thread (no threads
+//! spawned at all).
 
 use crate::evaluation::ArchEvaluation;
-use crate::runner::{AppPlan, SimRequest};
+use crate::runner::{AppEvaluation, AppPlan};
 use cta_clustering::ClusterError;
-use gpu_sim::{GpuConfig, RunStats};
+use gpu_sim::GpuConfig;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
@@ -25,8 +28,9 @@ use std::time::{Duration, Instant};
 /// Drives the "effective parallel speedup" line in bin footers.
 static BUSY_NANOS: AtomicU64 = AtomicU64::new(0);
 
-/// Adds `d` to the process-wide busy-time counter. Called by
-/// [`AppPlan::run`] around every simulation, on whichever thread runs it.
+/// Adds `d` to the process-wide busy-time counter. Called around every
+/// evaluation job (and by bins that run their own simulations), on
+/// whichever thread runs it.
 ///
 /// When telemetry is on, the same quantity lands on the recorder as
 /// `time/busy_ns` — a wall-clock metric, so it appears in the Chrome
@@ -46,8 +50,8 @@ pub fn busy_time() -> Duration {
 /// Number of worker threads the harness should use.
 ///
 /// Reads `CLUSTER_BENCH_THREADS`; a missing, empty, or unparsable value
-/// falls back to [`std::thread::available_parallelism`]. `1` means the
-/// legacy serial path. Values are clamped to at least 1.
+/// falls back to [`std::thread::available_parallelism`]. `1` runs every
+/// job inline on the calling thread. Values are clamped to at least 1.
 pub fn configured_threads() -> usize {
     match std::env::var("CLUSTER_BENCH_THREADS") {
         Ok(v) if !v.trim().is_empty() => match v.trim().parse::<usize>() {
@@ -74,7 +78,7 @@ fn default_threads() -> usize {
 /// returns results in input order.
 ///
 /// With `threads <= 1` (or fewer than two items) this runs inline on the
-/// calling thread — the legacy serial path, spawning nothing. Otherwise
+/// calling thread, spawning nothing. Otherwise
 /// workers pull item indices from a shared queue and write results into
 /// the slot of the same index, which makes the output independent of
 /// which worker ran which item. A panic in `f` propagates to the caller
@@ -124,159 +128,83 @@ where
 }
 
 /// Runs the full evaluation matrix for the given GPUs across `threads`
-/// workers, producing for each GPU exactly what serially mapping
-/// [`crate::evaluate_app`] over its Table 2 suite produces.
+/// workers, one job per app, and returns each GPU's Table 2 suite in
+/// suite order.
 ///
-/// Two fan-out phases: phase A runs every simulation whose inputs are
-/// known up front (baseline, RD, CLU, and each throttle-sweep candidate,
-/// for every app on every architecture); after the sweep winners are
-/// selected, phase B runs the two variants that depend on them
-/// (CLU+TOT+BPS and PFH+TOT).
+/// Jobs are queued app-major — the first app on every GPU, then the
+/// second, and so on — so the costliest apps (KMN on every preset) start
+/// together at the front of the queue instead of one GPU's whole suite
+/// holding the tail.
 ///
 /// # Errors
 ///
-/// Propagates the first [`AppPlan::run`] failure of either phase.
+/// Propagates the first failure in queue order.
 pub fn evaluate_matrix(
     cfgs: &[GpuConfig],
     threads: usize,
 ) -> Result<Vec<ArchEvaluation>, ClusterError> {
     // Plans are cheap (no simulation), so build them inline.
-    let plans: Vec<Vec<AppPlan>> = cfgs
+    let mut suites: Vec<_> = cfgs
         .iter()
-        .map(|cfg| {
-            gpu_kernels::suite::table2_suite(cfg.arch)
-                .into_iter()
-                .map(|w| AppPlan::new(cfg, w))
-                .collect()
-        })
+        .map(|cfg| gpu_kernels::suite::table2_suite(cfg.arch).into_iter())
         .collect();
-    Ok(cfgs
+    let mut owners: Vec<usize> = Vec::new();
+    let mut plans: Vec<AppPlan> = Vec::new();
+    loop {
+        let queued = plans.len();
+        for (gi, (cfg, suite)) in cfgs.iter().zip(&mut suites).enumerate() {
+            if let Some(w) = suite.next() {
+                owners.push(gi);
+                plans.push(AppPlan::new(cfg, w));
+            }
+        }
+        if plans.len() == queued {
+            break;
+        }
+    }
+    let mut archs: Vec<ArchEvaluation> = cfgs
         .iter()
-        .zip(run_plans(&plans, threads)?)
-        .map(|(cfg, apps)| ArchEvaluation {
+        .map(|cfg| ArchEvaluation {
             gpu: cfg.name.clone(),
             arch: cfg.arch,
-            apps,
+            apps: Vec::new(),
         })
-        .collect())
+        .collect();
+    for (gi, eval) in owners.into_iter().zip(evaluate_plans(&plans, threads)) {
+        archs[gi].apps.push(eval?);
+    }
+    Ok(archs)
 }
 
 /// Evaluates an explicit set of workloads on one GPU across `threads`
-/// workers. Equivalent to calling [`crate::evaluate_app`] on each
-/// workload in order; useful for partial matrices (and the determinism
-/// regression tests).
+/// workers, one job per workload, results in input order. Useful for
+/// partial matrices (and the determinism regression tests).
+///
+/// # Errors
+///
+/// Propagates the first failure in input order.
 pub fn evaluate_apps_par(
     cfg: &GpuConfig,
     workloads: Vec<Box<dyn gpu_kernels::Workload>>,
     threads: usize,
-) -> Result<Vec<crate::runner::AppEvaluation>, ClusterError> {
-    let plans = vec![workloads
+) -> Result<Vec<AppEvaluation>, ClusterError> {
+    let plans: Vec<AppPlan> = workloads
         .into_iter()
         .map(|w| AppPlan::new(cfg, w))
-        .collect()];
-    Ok(run_plans(&plans, threads)?
-        .pop()
-        .expect("one plan row in, one out"))
+        .collect();
+    evaluate_plans(&plans, threads).into_iter().collect()
 }
 
-/// The two-phase fan-out over prepared plans (outer index = architecture,
-/// inner = app). Returns evaluations in the same shape and order.
-///
-/// Each phase runs all its jobs to completion (the pool has no early
-/// cancellation), then surfaces the first error in job order so the
-/// reported failure is deterministic.
-fn run_plans(
-    plans: &[Vec<AppPlan>],
-    threads: usize,
-) -> Result<Vec<Vec<crate::runner::AppEvaluation>>, ClusterError> {
-    // Phase A: flatten (arch, app, request) into one job list.
-    let jobs_a: Vec<(usize, usize, SimRequest)> = plans
-        .iter()
-        .enumerate()
-        .flat_map(|(ai, apps)| {
-            apps.iter().enumerate().flat_map(move |(pi, plan)| {
-                plan.phase_a().into_iter().map(move |req| (ai, pi, req))
-            })
-        })
-        .collect();
-    let stats_a: Vec<RunStats> = par_map(&jobs_a, threads, |&(ai, pi, req)| plans[ai][pi].run(req))
-        .into_iter()
-        .collect::<Result<_, _>>()?;
-
-    // Regroup phase-A stats per app (jobs were emitted app-major) and
-    // pick each app's throttle winner.
-    let mut grouped_a: Vec<Vec<Vec<RunStats>>> = plans
-        .iter()
-        .map(|apps| apps.iter().map(|_| Vec::new()).collect())
-        .collect();
-    for (&(ai, pi, _), stats) in jobs_a.iter().zip(stats_a) {
-        grouped_a[ai][pi].push(stats);
-    }
-    let chosen: Vec<Vec<(u32, usize)>> = plans
-        .iter()
-        .zip(&grouped_a)
-        .map(|(apps, stats)| {
-            apps.iter()
-                .zip(stats)
-                .map(|(plan, s)| plan.select_throttle(s))
-                .collect()
-        })
-        .collect();
-
-    // Phase B: the sweep-dependent variants.
-    let jobs_b: Vec<(usize, usize, SimRequest)> = plans
-        .iter()
-        .enumerate()
-        .flat_map(|(ai, apps)| {
-            apps.iter().enumerate().flat_map({
-                let chosen = &chosen;
-                move |(pi, plan)| {
-                    plan.phase_b(chosen[ai][pi].0)
-                        .into_iter()
-                        .map(move |req| (ai, pi, req))
-                }
-            })
-        })
-        .collect();
-    let stats_b: Vec<RunStats> = par_map(&jobs_b, threads, |&(ai, pi, req)| plans[ai][pi].run(req))
-        .into_iter()
-        .collect::<Result<_, _>>()?;
-    let mut grouped_b: Vec<Vec<Vec<RunStats>>> = plans
-        .iter()
-        .map(|apps| apps.iter().map(|_| Vec::new()).collect())
-        .collect();
-    for (&(ai, pi, _), stats) in jobs_b.iter().zip(stats_b) {
-        grouped_b[ai][pi].push(stats);
-    }
-
-    // Assemble in input order — identical to the serial path.
-    Ok(plans
-        .iter()
-        .enumerate()
-        .map(|(ai, apps)| {
-            apps.iter()
-                .enumerate()
-                .map(|(pi, plan)| {
-                    plan.assemble(
-                        std::mem::take(&mut grouped_a[ai][pi]),
-                        chosen[ai][pi],
-                        std::mem::take(&mut grouped_b[ai][pi]),
-                    )
-                })
-                .collect()
-        })
-        .collect())
-}
-
-/// [`evaluate_matrix`] for one GPU: its Table 2 suite, in suite order.
-///
-/// # Errors
-///
-/// Propagates the first [`AppPlan::run`] failure.
-pub fn evaluate_arch_par(cfg: &GpuConfig, threads: usize) -> Result<ArchEvaluation, ClusterError> {
-    Ok(evaluate_matrix(std::slice::from_ref(cfg), threads)?
-        .pop()
-        .expect("one arch in, one evaluation out"))
+/// One [`AppPlan::evaluate`] job per plan, each running its requests
+/// through [`AppPlan::run_metered`]. Every job runs to completion (the
+/// pool has no early cancellation); results come back in plan order.
+fn evaluate_plans(plans: &[AppPlan], threads: usize) -> Vec<Result<AppEvaluation, ClusterError>> {
+    par_map(plans, threads, |plan| {
+        let t0 = Instant::now();
+        let eval = plan.evaluate(|req| plan.run_metered(req).map(|(stats, _)| stats));
+        record_busy(t0.elapsed());
+        eval
+    })
 }
 
 /// Tunes glibc's allocator for the harness's allocation pattern.

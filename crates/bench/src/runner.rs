@@ -1,12 +1,13 @@
 //! Shared harness machinery: the optimization variants of Figure 12/13
 //! and the code that runs a workload under each of them.
 //!
-//! The evaluation of one app decomposes into independent simulations
-//! described by [`SimRequest`]s. [`AppPlan`] owns everything a request
-//! needs (kernel handle, configured GPU, hinted partition, agent
-//! template), so requests can execute in any order — or concurrently on
-//! worker threads ([`crate::par`]) — and still assemble into exactly the
-//! [`AppEvaluation`] the serial path produces.
+//! The evaluation of one app decomposes into simulations described by
+//! [`SimRequest`]s. [`AppPlan`] owns everything a request needs (kernel
+//! handle, configured GPU, hinted partition, agent template);
+//! [`AppPlan::evaluate`] runs the requests in the Figure 12 order and
+//! assembles the [`AppEvaluation`], and [`AppPlan::run_metered`] is the
+//! one way to run a request. [`crate::par`] runs one evaluation per app
+//! on worker threads.
 
 use cta_clustering::{
     AgentKernel, Axis, BypassKernel, ClusterError, Framework, Partition, RedirectionKernel,
@@ -118,15 +119,6 @@ impl SharedKernel {
             self.cache.fills.load(Ordering::Relaxed),
         )
     }
-
-    /// Records the cache counters under `scope`. Only meaningful once
-    /// the totals are final for the scope (i.e. after every run of an
-    /// app), so that the export is thread-count independent.
-    fn record_cache_obs(&self, obs: &cta_obs::Obs, scope: &str) {
-        let (hits, fills) = self.cache_counters();
-        obs.counter("harness/program_cache_hits", scope, hits);
-        obs.counter("harness/program_cache_fills", scope, fills);
-    }
 }
 
 impl std::fmt::Debug for SharedKernel {
@@ -215,10 +207,8 @@ pub fn hinted_partition(kernel: &SharedKernel, cfg: &GpuConfig) -> Partition {
         .expect("suite grids are partitionable")
 }
 
-/// One independent simulation of the evaluation matrix.
-///
-/// Requests carry no references into their plan, so a `(plan, request)`
-/// pair is a self-contained unit of work for a thread pool.
+/// One simulation of an app's evaluation. Requests carry no references
+/// into their plan, so a `(plan, request)` pair is self-contained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimRequest {
     /// The unmodified kernel.
@@ -344,12 +334,17 @@ impl AppPlan {
         ]
     }
 
-    /// Runs one request to completion. Pure with respect to the plan:
-    /// the same request always yields the same [`RunStats`].
+    /// Runs one request to completion and returns its stats with the
+    /// engine's event accounting. Pure with respect to the plan: the
+    /// same request always yields the same result.
     ///
-    /// The whole job runs inside a telemetry span named by its scope
-    /// (`{gpu}/{app}/{label}`, e.g. `GTX570/MM/CLU`), on whichever
-    /// thread executes it.
+    /// With `CLUSTER_OBS` off this is exactly `Simulation::run_metered`
+    /// — the differential test pins that figures are byte-identical
+    /// either way. With it on, the run executes inside a telemetry span
+    /// named by its scope (`{gpu}/{app}/{label}`, e.g. `GTX570/MM/CLU`),
+    /// is traced through a [`locality::ObsSink`] (trace sinks observe the
+    /// access stream, they cannot steer the simulation), and its
+    /// [`RunStats`] and engine counters are recorded under that scope.
     ///
     /// # Errors
     ///
@@ -357,74 +352,42 @@ impl AppPlan {
     /// degree, bypass transform) and simulator failures as
     /// [`ClusterError`] instead of panicking, so a bad request surfaces
     /// as a report-able error at the harness boundary.
-    pub fn run(&self, req: SimRequest) -> Result<RunStats, ClusterError> {
-        let t0 = std::time::Instant::now();
-        let scope = format!("{}/{}/{}", self.cfg.name, self.info.abbr, req.label());
-        let _job = cta_obs::span(scope.clone());
-        let stats = self.with_kernel(req, |kernel| self.simulate(kernel, req, &scope))?;
-        crate::par::record_busy(t0.elapsed());
-        Ok(stats)
-    }
-
-    /// Like [`AppPlan::run`] but also returns the engine's event
-    /// accounting, for the `sim_core` bench bin and conservation gates.
-    /// Runs without telemetry sinks (the metrics themselves are the
-    /// instrument here).
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`AppPlan::run`].
     pub fn run_metered(
         &self,
         req: SimRequest,
     ) -> Result<(RunStats, gpu_sim::EngineMetrics), ClusterError> {
-        let t0 = std::time::Instant::now();
-        let out = self.with_kernel(req, |kernel| {
-            Simulation::new(self.cfg.clone(), kernel).run_metered()
+        let Some(obs) = cta_obs::maybe_global() else {
+            return self.with_kernel(req, |kernel| {
+                Simulation::new(self.cfg.clone(), kernel).run_metered()
+            });
+        };
+        let scope = format!("{}/{}/{}", self.cfg.name, self.info.abbr, req.label());
+        let _job = obs.span(scope.clone());
+        let (stats, metrics) = self.with_kernel(req, |kernel| {
+            let mut sim = Simulation::new(self.cfg.clone(), kernel);
+            // Cluster attribution: the baseline knows which cluster a
+            // CTA's data *would* belong to from the hinted partition;
+            // clustered variants bind one cluster per SM (agents adopt
+            // the cluster of the SM they land on), so there the SM id is
+            // the cluster id.
+            if matches!(req, SimRequest::Baseline) {
+                let partition = self.partition.clone();
+                let mut sink =
+                    locality::ObsSink::new(&scope, move |cta, _sm| partition.assign(cta).0 as u32);
+                let out = sim.run_traced_metered(&mut sink)?;
+                sink.finish(obs);
+                Ok(out)
+            } else {
+                let mut sink = locality::ObsSink::new(&scope, |_cta, sm| sm as u32);
+                let out = sim.run_traced_metered(&mut sink)?;
+                sink.finish(obs);
+                Ok(out)
+            }
         })?;
-        crate::par::record_busy(t0.elapsed());
-        Ok(out)
-    }
-
-    /// Like [`AppPlan::run_metered`] but with the opt-in per-set L1
-    /// profile enabled: returns the merged [`gpu_sim::SetProfile`] of
-    /// every sector array in the device. The `analyze --verify-costmodel`
-    /// per-set machine check re-runs matrix points through this.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`AppPlan::run`].
-    pub fn run_profiled(
-        &self,
-        req: SimRequest,
-    ) -> Result<(RunStats, gpu_sim::EngineMetrics, gpu_sim::SetProfile), ClusterError> {
-        let t0 = std::time::Instant::now();
-        let out = self.with_kernel(req, |kernel| {
-            Simulation::new(self.cfg.clone(), kernel).run_profiled()
-        })?;
-        crate::par::record_busy(t0.elapsed());
-        Ok(out)
-    }
-
-    /// Like [`AppPlan::run_metered`] but under an explicit CTA-scheduler
-    /// model — the DSE harness sweeps scheduler policy as an axis.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`AppPlan::run`].
-    pub fn run_metered_sched(
-        &self,
-        req: SimRequest,
-        scheduler: Box<dyn gpu_sim::sched::CtaScheduler>,
-    ) -> Result<(RunStats, gpu_sim::EngineMetrics), ClusterError> {
-        let t0 = std::time::Instant::now();
-        let out = self.with_kernel(req, |kernel| {
-            Simulation::new(self.cfg.clone(), kernel)
-                .with_scheduler(scheduler)
-                .run_metered()
-        })?;
-        crate::par::record_busy(t0.elapsed());
-        Ok(out)
+        stats.record_obs(obs, &scope);
+        metrics.record_obs(obs, "engine/", &scope);
+        debug_assert_eq!(metrics.check_conservation(&stats), Ok(()), "{scope}");
+        Ok((stats, metrics))
     }
 
     /// Hands the transformed kernel a request calls for to `f` without
@@ -493,45 +456,6 @@ impl AppPlan {
         })
     }
 
-    /// Runs one simulation, telemetry-aware. With `CLUSTER_OBS` off this
-    /// is exactly `Simulation::run` — the differential test pins that
-    /// figures are byte-identical either way. With it on, the run is
-    /// traced through a [`locality::ObsSink`] (trace sinks observe the
-    /// access stream, they cannot steer the simulation) and the
-    /// resulting [`RunStats`] counters are recorded under `scope`.
-    fn simulate(
-        &self,
-        kernel: &dyn KernelSpec,
-        req: SimRequest,
-        scope: &str,
-    ) -> Result<RunStats, gpu_sim::SimError> {
-        let mut sim = Simulation::new(self.cfg.clone(), kernel);
-        let Some(obs) = cta_obs::maybe_global() else {
-            return sim.run();
-        };
-        // Cluster attribution: the baseline knows which cluster a CTA's
-        // data *would* belong to from the hinted partition; clustered
-        // variants bind one cluster per SM (agents adopt the cluster of
-        // the SM they land on), so there the SM id is the cluster id.
-        let (stats, metrics) = if matches!(req, SimRequest::Baseline) {
-            let partition = self.partition.clone();
-            let mut sink =
-                locality::ObsSink::new(scope, move |cta, _sm| partition.assign(cta).0 as u32);
-            let out = sim.run_traced_metered(&mut sink)?;
-            sink.finish(obs);
-            out
-        } else {
-            let mut sink = locality::ObsSink::new(scope, |_cta, sm| sm as u32);
-            let out = sim.run_traced_metered(&mut sink)?;
-            sink.finish(obs);
-            out
-        };
-        stats.record_obs(obs, scope);
-        metrics.record_obs(obs, "engine/", scope);
-        debug_assert_eq!(metrics.check_conservation(&stats), Ok(()), "{scope}");
-        Ok(stats)
-    }
-
     /// Picks the winning throttling degree from phase-A results
     /// (`stats` must be in [`AppPlan::phase_a`] order). Returns the
     /// degree and its index into `stats`. Strict `<` keeps the earliest
@@ -551,22 +475,38 @@ impl AppPlan {
         best.expect("nonempty sweep")
     }
 
-    /// Combines phase-A and phase-B results into the final evaluation.
-    pub fn assemble(
+    /// Evaluates the app under every variant: runs phase A through
+    /// `run`, selects the throttle, then runs phase B at it. This is the
+    /// one place the Figure 12 request order lives; drivers differ only
+    /// in how `run` executes a request.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first failure of `run`.
+    pub fn evaluate(
         &self,
-        phase_a: Vec<RunStats>,
-        chosen: (u32, usize),
-        phase_b: Vec<RunStats>,
-    ) -> AppEvaluation {
-        // Both phases are complete here (serial and parallel paths
-        // alike), so the program-cache totals are final for this app —
-        // the one point where exporting them is thread-count
+        mut run: impl FnMut(SimRequest) -> Result<RunStats, ClusterError>,
+    ) -> Result<AppEvaluation, ClusterError> {
+        let phase_a: Vec<RunStats> = self
+            .phase_a()
+            .into_iter()
+            .map(&mut run)
+            .collect::<Result<_, _>>()?;
+        let (chosen_agents, best_idx) = self.select_throttle(&phase_a);
+        let phase_b: Vec<RunStats> = self
+            .phase_b(chosen_agents)
+            .into_iter()
+            .map(&mut run)
+            .collect::<Result<_, _>>()?;
+        // Every run of the app is done, so the program-cache totals are
+        // final — the one point where exporting them is thread-count
         // deterministic.
         if let Some(obs) = cta_obs::maybe_global() {
             let scope = format!("{}/{}", self.cfg.name, self.info.abbr);
-            self.kernel.record_cache_obs(obs, &scope);
+            let (hits, fills) = self.cache_counters();
+            obs.counter("harness/program_cache_hits", &scope, hits);
+            obs.counter("harness/program_cache_fills", &scope, fills);
         }
-        let (chosen_agents, best_idx) = chosen;
         let tot_stats = phase_a[best_idx].clone();
         let mut a = phase_a.into_iter();
         let mut b = phase_b.into_iter();
@@ -581,11 +521,11 @@ impl AppPlan {
             ),
             (Variant::PrefetchThrottled, b.next().expect("PFH stats")),
         ];
-        AppEvaluation {
+        Ok(AppEvaluation {
             info: self.info,
             runs,
             chosen_agents,
-        }
+        })
     }
 }
 
@@ -622,34 +562,6 @@ impl AppEvaluation {
     }
 }
 
-/// Evaluates one workload under all six variants on `base_cfg`,
-/// serially on the calling thread.
-///
-/// This is the legacy single-threaded path; [`crate::par`] runs the same
-/// [`SimRequest`]s across worker threads and produces identical results.
-///
-/// # Errors
-///
-/// Propagates the first [`AppPlan::run`] failure.
-pub fn evaluate_app(
-    base_cfg: &GpuConfig,
-    workload: Box<dyn Workload>,
-) -> Result<AppEvaluation, ClusterError> {
-    let plan = AppPlan::new(base_cfg, workload);
-    let phase_a: Vec<RunStats> = plan
-        .phase_a()
-        .into_iter()
-        .map(|r| plan.run(r))
-        .collect::<Result<_, _>>()?;
-    let chosen = plan.select_throttle(&phase_a);
-    let phase_b: Vec<RunStats> = plan
-        .phase_b(chosen.0)
-        .into_iter()
-        .map(|r| plan.run(r))
-        .collect::<Result<_, _>>()?;
-    Ok(plan.assemble(phase_a, chosen, phase_b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -658,7 +570,10 @@ mod tests {
     #[test]
     fn evaluate_small_app_produces_all_variants() {
         let w = gpu_kernels::suite::by_abbr("NW", gpu_sim::ArchGen::Fermi).unwrap();
-        let eval = evaluate_app(&arch::gtx570(), w).expect("NW evaluation");
+        let plan = AppPlan::new(&arch::gtx570(), w);
+        let eval = plan
+            .evaluate(|req| plan.run_metered(req).map(|(stats, _)| stats))
+            .expect("NW evaluation");
         assert_eq!(eval.runs.len(), 6);
         assert!(eval.speedup(Variant::Baseline) == 1.0);
         assert!(eval.chosen_agents >= 1);

@@ -35,7 +35,7 @@
 use crate::runner::{AppPlan, SimRequest};
 use cta_clustering::ClusterError;
 use gpu_sim::sched::{CtaScheduler, HardwareLike, Randomized, StrictRoundRobin};
-use gpu_sim::{GpuConfig, IndexFn, RunStats, WritePolicy};
+use gpu_sim::{GpuConfig, IndexFn, RunStats, Simulation, WritePolicy};
 use locality::AccessSummary;
 use std::collections::HashMap;
 
@@ -637,8 +637,11 @@ pub fn run_sweep(spec: &SweepSpec, prune: bool) -> Result<SweepOutcome, ClusterE
                                 (m, true)
                             }
                             None => {
-                                let (stats, _) =
-                                    plan.run_metered_sched(req, sched.instantiate())?;
+                                let (stats, _) = plan.with_variant_kernel(req, |k| {
+                                    Simulation::new(plan.cfg.clone(), k)
+                                        .with_scheduler(sched.instantiate())
+                                        .run_metered()
+                                })??;
                                 simulated += 1;
                                 (PointMetrics::of(&stats), false)
                             }
@@ -780,6 +783,9 @@ mod tests {
         assert_ne!(cfg.name, modulo.name);
         // 16 KiB does not divide into whole 128B x 3-way sets.
         assert!(geometry_config(&base, 16, 3, IndexFn::Hashed).is_err());
+        // 1 KiB holds one 32B x 32-way set, but each of the GTX980's two
+        // L1 sector arrays holds none.
+        assert!(geometry_config(&gpu_sim::arch::gtx980(), 1, 32, IndexFn::Hashed).is_err());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! pin the index-keyed collection down.
 
 use cluster_bench::report::{ratio, Table};
-use cluster_bench::{evaluate_app, evaluate_apps_par, AppEvaluation, Variant};
+use cluster_bench::{evaluate_apps_par, AppEvaluation, Variant};
 use gpu_sim::arch;
 
 fn workload(abbr: &str) -> Box<dyn gpu_kernels::Workload> {
@@ -29,36 +29,40 @@ fn render(eval: &AppEvaluation) -> String {
 
 #[test]
 fn parallel_results_are_identical_to_serial() {
+    // One job per app: three apps give 2 and 4 workers something to
+    // run concurrently.
     let cfg = arch::gtx570();
-    let serial = evaluate_app(&cfg, workload("NW")).expect("serial evaluation");
-    let serial_rendered = render(&serial);
+    let abbrs = ["NW", "BS", "HS"];
+    let apps = || abbrs.iter().map(|a| workload(a)).collect::<Vec<_>>();
+    let serial = evaluate_apps_par(&cfg, apps(), 1).expect("serial evaluation");
 
     for threads in [2, 4] {
-        let par = evaluate_apps_par(&cfg, vec![workload("NW")], threads)
-            .expect("parallel evaluation")
-            .pop()
-            .expect("one app evaluated");
-
-        assert_eq!(par.chosen_agents, serial.chosen_agents, "{threads} threads");
-        for v in Variant::ALL {
-            let (s, p) = (serial.stats(v), par.stats(v));
-            // Spot-check the headline metrics with readable failures...
-            assert_eq!(p.cycles, s.cycles, "{v} cycles, {threads} threads");
-            assert_eq!(
-                p.l2_transactions(),
-                s.l2_transactions(),
-                "{v} L2 txns, {threads} threads"
-            );
-            assert_eq!(
-                p.l1_hit_rate(),
-                s.l1_hit_rate(),
-                "{v} L1 hit rate, {threads} threads"
-            );
-            // ...then require every counter to match exactly.
-            assert_eq!(p, s, "{v} full stats, {threads} threads");
+        let par = evaluate_apps_par(&cfg, apps(), threads).expect("parallel evaluation");
+        assert_eq!(par.len(), serial.len(), "{threads} threads");
+        for (p, s) in par.iter().zip(&serial) {
+            let app = s.info.abbr;
+            assert_eq!(p.info.abbr, app, "{threads} threads");
+            assert_eq!(p.chosen_agents, s.chosen_agents, "{app}, {threads} threads");
+            for v in Variant::ALL {
+                let (s, p) = (s.stats(v), p.stats(v));
+                // Spot-check the headline metrics with readable failures...
+                assert_eq!(p.cycles, s.cycles, "{app} {v} cycles, {threads} threads");
+                assert_eq!(
+                    p.l2_transactions(),
+                    s.l2_transactions(),
+                    "{app} {v} L2 txns, {threads} threads"
+                );
+                assert_eq!(
+                    p.l1_hit_rate(),
+                    s.l1_hit_rate(),
+                    "{app} {v} L1 hit rate, {threads} threads"
+                );
+                // ...then require every counter to match exactly.
+                assert_eq!(p, s, "{app} {v} full stats, {threads} threads");
+            }
+            // Byte-identical rendered figure output.
+            assert_eq!(render(p), render(s), "{app}, {threads} threads");
         }
-        // Byte-identical rendered figure output.
-        assert_eq!(render(&par), serial_rendered, "{threads} threads");
     }
 }
 
@@ -68,7 +72,11 @@ fn parallel_preserves_app_order() {
     let abbrs = ["NW", "BS"];
     let serial: Vec<AppEvaluation> = abbrs
         .iter()
-        .map(|a| evaluate_app(&cfg, workload(a)).expect("serial evaluation"))
+        .map(|a| {
+            evaluate_apps_par(&cfg, vec![workload(a)], 1)
+                .expect("serial evaluation")
+                .remove(0)
+        })
         .collect();
     let par = evaluate_apps_par(&cfg, abbrs.iter().map(|a| workload(a)).collect(), 3)
         .expect("parallel evaluation");

@@ -55,7 +55,7 @@ fn render_current() -> String {
         for workload in gpu_kernels::suite::table2_suite(gen) {
             let plan = AppPlan::new(&cfg, workload);
             for req in requests(&plan) {
-                let stats = plan.run(req).expect("golden request");
+                let (stats, _) = plan.run_metered(req).expect("golden request");
                 out.push_str(&format!(
                     "{} {} {} cycles={} instr={} fnv={:016x}\n",
                     cfg.name,

@@ -274,7 +274,9 @@ impl GpuConfig {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] when a structural parameter is
-    /// zero, a cache geometry is inconsistent, or the L1 line is smaller
+    /// zero, a cache geometry is inconsistent — for the configured arrays
+    /// and for the [`GpuConfig::l1_array`] and [`GpuConfig::l2_bank`]
+    /// arrays the engine builds from them — or the L1 line is smaller
     /// than the L2 line (the paper notes L1 lines are always >= L2 lines,
     /// and the transaction accounting relies on it).
     pub fn validate(&self) -> Result<(), SimError> {
@@ -299,7 +301,37 @@ impl GpuConfig {
             )));
         }
         self.timings.validate()?;
+        if !self.l2.size_bytes.is_multiple_of(self.timings.l2_banks) {
+            return Err(SimError::InvalidConfig(format!(
+                "L2 capacity {} not divisible into {} banks",
+                self.l2.size_bytes, self.timings.l2_banks
+            )));
+        }
+        self.l1_array().validate("L1 sector array")?;
+        self.l2_bank().validate("L2 bank")?;
         Ok(())
+    }
+
+    /// The geometry of each of the `l1_sectors` equal arrays an SM's L1
+    /// is carved into.
+    pub fn l1_array(&self) -> CacheConfig {
+        CacheConfig {
+            size_bytes: self.l1.size_bytes.checked_div(self.l1_sectors).unwrap_or(0),
+            ..self.l1.clone()
+        }
+    }
+
+    /// The geometry of each of the `l2_banks` equal arrays the L2 is
+    /// carved into.
+    pub fn l2_bank(&self) -> CacheConfig {
+        CacheConfig {
+            size_bytes: self
+                .l2
+                .size_bytes
+                .checked_div(self.timings.l2_banks)
+                .unwrap_or(0),
+            ..self.l2.clone()
+        }
     }
 
     /// Number of L2 transactions generated by one L1 miss: the L1 fetches a

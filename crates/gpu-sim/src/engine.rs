@@ -864,6 +864,21 @@ mod tests {
     }
 
     #[test]
+    fn carved_arrays_without_whole_sets_are_an_error() {
+        // 1 KiB is 32 ways of 32 B lines, but each of the GTX980's two
+        // 512 B L1 sector arrays holds zero sets.
+        let mut cfg = arch::gtx980();
+        cfg.l1.size_bytes = 1024;
+        cfg.l1.associativity = 32;
+        cfg.l1
+            .validate("L1")
+            .expect("the whole array holds one set");
+        assert!(matches!(cfg.validate(), Err(SimError::InvalidConfig(_))));
+        let err = Simulation::new(cfg, &SharedLine).run().unwrap_err();
+        assert!(matches!(err, SimError::InvalidConfig(_)), "{err}");
+    }
+
+    #[test]
     fn runs_to_completion_and_counts() {
         let mut sim = Simulation::new(arch::gtx570(), &SharedLine);
         let stats = sim.run().unwrap();

@@ -245,14 +245,6 @@ impl Op {
         }
     }
 
-    /// Mutable access to the memory access carried by this op, if any.
-    pub fn access_mut(&mut self) -> Option<&mut MemAccess> {
-        match self {
-            Op::Load(a) | Op::Store(a) | Op::Atomic(a) => Some(a),
-            Op::Compute(_) | Op::Barrier => None,
-        }
-    }
-
     /// Whether this op is a CTA barrier.
     pub fn is_barrier(&self) -> bool {
         matches!(self, Op::Barrier)
@@ -410,10 +402,8 @@ mod tests {
 
     #[test]
     fn op_access_projection() {
-        let mut op = Op::Load(MemAccess::scalar(0, 64, 4));
+        let op = Op::Load(MemAccess::scalar(0, 64, 4));
         assert!(op.access().is_some());
-        op.access_mut().unwrap().cache_op = CacheOp::BypassL1;
-        assert_eq!(op.access().unwrap().cache_op, CacheOp::BypassL1);
         assert!(Op::Barrier.access().is_none());
         assert!(Op::Compute(5).access().is_none());
         assert!(Op::Barrier.is_barrier());

@@ -8,7 +8,7 @@
 
 use crate::addrdec::AddrDec;
 use crate::cache::{Cache, CacheStats, ReadOutcome, WriteOutcome};
-use crate::config::{CacheConfig, GpuConfig, MemoryTimings};
+use crate::config::{GpuConfig, MemoryTimings};
 use crate::work::CacheWork;
 
 /// Which level of the hierarchy ultimately served a request.
@@ -75,14 +75,7 @@ impl MemorySystem {
     /// Builds the memory system described by `cfg`.
     pub fn new(cfg: &GpuConfig) -> Self {
         let t = cfg.timings.clone();
-        let banks = (0..t.l2_banks)
-            .map(|_| {
-                Cache::new(CacheConfig {
-                    size_bytes: cfg.l2.size_bytes / t.l2_banks,
-                    ..cfg.l2.clone()
-                })
-            })
-            .collect();
+        let banks = (0..t.l2_banks).map(|_| Cache::new(cfg.l2_bank())).collect();
         MemorySystem {
             banks,
             bank_free: vec![0; t.l2_banks as usize],

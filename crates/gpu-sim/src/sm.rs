@@ -17,7 +17,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::cache::{Cache, CacheStats, SetProfile};
-use crate::config::{CacheConfig, GpuConfig};
+use crate::config::GpuConfig;
 use crate::program::{Cursor, WarpProgram};
 
 /// One resident warp's execution context.
@@ -94,10 +94,7 @@ pub(crate) struct SmState {
 
 impl SmState {
     pub(crate) fn new(id: usize, cfg: &GpuConfig, max_ctas: u32, warps_per_cta: u32) -> Self {
-        let sector_cfg = CacheConfig {
-            size_bytes: cfg.l1.size_bytes / cfg.l1_sectors,
-            ..cfg.l1.clone()
-        };
+        let sector_cfg = cfg.l1_array();
         SmState {
             id,
             clock: 0,

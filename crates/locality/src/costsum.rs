@@ -425,19 +425,16 @@ impl AccessSummary {
         }
     }
 
-    /// The address decoder of `cfg`'s per-sector L1 sub-array — the same
-    /// geometry and set-index function every [`gpu_sim::Cache`] array of
-    /// a simulation run is built with.
+    /// The address decoder of `cfg`'s [`GpuConfig::l1_array`] — the
+    /// same geometry and set-index function every L1 [`gpu_sim::Cache`]
+    /// array of a simulation run is built with.
     fn sub_decoder(&self, cfg: &GpuConfig) -> AddrDec {
-        let sub = gpu_sim::CacheConfig {
-            size_bytes: cfg.l1.size_bytes / cfg.l1_sectors,
-            ..cfg.l1.clone()
-        };
+        let sub = cfg.l1_array();
         AddrDec::for_cache_indexed(
             sub.line_bytes,
             sub.effective_sector_bytes(),
             sub.num_sets() as u64,
-            cfg.l1.index_fn,
+            sub.index_fn,
         )
     }
 

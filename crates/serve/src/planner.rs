@@ -287,7 +287,7 @@ fn measured_throttle(cfg: &GpuConfig, workload: Box<dyn Workload>) -> Result<u32
     let stats = plan
         .phase_a()
         .into_iter()
-        .map(|r| plan.run(r))
+        .map(|r| plan.run_metered(r).map(|(stats, _)| stats))
         .collect::<Result<Vec<_>, _>>()
         .map_err(|e| ProtoError::new("bad-kernel", e.to_string()))?;
     Ok(plan.select_throttle(&stats).0)
@@ -402,7 +402,7 @@ mod tests {
         let stats: Vec<_> = plan
             .phase_a()
             .into_iter()
-            .map(|r| plan.run(r).expect("phase A runs"))
+            .map(|r| plan.run_metered(r).expect("phase A runs").0)
             .collect();
         assert_eq!(
             body.plan.active_agents,

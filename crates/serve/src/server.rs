@@ -97,6 +97,13 @@ fn obs_hist(name: &str, key: &str, sample: u64) {
     }
 }
 
+/// Counts and renders an error response to a request that got no plan.
+fn reject(id: &str, err: &ProtoError) -> String {
+    obs_counter("serve/errors", err.code, 1);
+    obs_counter("serve/responses", "error", 1);
+    render_error(id, err, None)
+}
+
 impl Server {
     /// A server with the given configuration and an empty cache.
     pub fn new(cfg: ServerConfig) -> Self {
@@ -138,11 +145,7 @@ impl Server {
         obs_counter("serve/requests", "all", 1);
         let req = match parse_request(line) {
             Ok(req) => req,
-            Err((id, err)) => {
-                obs_counter("serve/errors", err.code, 1);
-                obs_counter("serve/responses", "error", 1);
-                return render_error(&id, &err, None);
-            }
+            Err((id, err)) => return reject(&id, &err),
         };
         if let Some(t0) = enqueued {
             let wait_us = t0.elapsed().as_micros() as u64;
@@ -154,9 +157,7 @@ impl Server {
                         "deadline",
                         format!("request waited {wait_us}us, past its {ms}ms deadline"),
                     );
-                    obs_counter("serve/errors", err.code, 1);
-                    obs_counter("serve/responses", "error", 1);
-                    return render_error(&req.id, &err, None);
+                    return reject(&req.id, &err);
                 }
             }
         }
@@ -167,11 +168,7 @@ impl Server {
                 obs_counter("serve/responses", "plan", 1);
                 body.render(&req.id)
             }
-            Err(err) => {
-                obs_counter("serve/errors", err.code, 1);
-                obs_counter("serve/responses", "error", 1);
-                render_error(&req.id, err, None)
-            }
+            Err(err) => reject(&req.id, err),
         };
         obs_hist(
             "time/serve/latency_us",
@@ -207,7 +204,7 @@ impl Server {
     /// Propagates I/O failures on the input or output stream.
     pub fn serve_lines<R: BufRead, W: Write + Send>(
         &self,
-        input: R,
+        mut input: R,
         output: W,
     ) -> std::io::Result<ServeSummary> {
         let threads = self.threads();
@@ -257,8 +254,27 @@ impl Server {
             }
 
             let mut seq = 0u64;
-            for line in input.lines() {
-                let line = line?;
+            loop {
+                let mut raw = Vec::new();
+                if input.read_until(b'\n', &mut raw)? == 0 {
+                    break;
+                }
+                // Strip `\n` or `\r\n`, as `BufRead::lines` does.
+                if raw.last() == Some(&b'\n') {
+                    raw.pop();
+                    if raw.last() == Some(&b'\r') {
+                        raw.pop();
+                    }
+                }
+                let Ok(line) = String::from_utf8(raw) else {
+                    // Not UTF-8, so not JSON: answer in order and read on.
+                    summary.requests += 1;
+                    obs_counter("serve/requests", "all", 1);
+                    let err = ProtoError::new("parse", "request line is not valid UTF-8");
+                    let _ = done_tx.send((seq, reject("", &err)));
+                    seq += 1;
+                    continue;
+                };
                 if line.trim().is_empty() {
                     continue;
                 }
@@ -319,17 +335,25 @@ impl Server {
 
     /// Accept loop: serves connections one at a time (each connection
     /// gets the full worker pool; the cache persists across them) until
-    /// a client sends the shutdown control line.
+    /// a client sends the shutdown control line. A failed accept or a
+    /// connection's I/O error (say, a client that closes before reading
+    /// its responses) is reported on stderr and the loop moves on to the
+    /// next connection.
     ///
     /// # Errors
     ///
-    /// Propagates accept/stream failures.
+    /// None: per-connection failures are logged, not returned, and the
+    /// loop returns `Ok` once a shutdown line ends it.
     pub fn serve_tcp(&self, listener: TcpListener) -> std::io::Result<()> {
         for stream in listener.incoming() {
-            let stream = stream?;
-            let reader = BufReader::new(stream.try_clone()?);
-            let summary = self.serve_lines(reader, stream)?;
-            if summary.shutdown {
+            let session = stream.and_then(|stream| {
+                let reader = BufReader::new(stream.try_clone()?);
+                self.serve_lines(reader, stream)
+            });
+            if let Err(e) = session {
+                eprintln!("cta-serve: connection dropped: {e}");
+            }
+            if self.shutting_down.load(Ordering::Relaxed) {
                 break;
             }
         }

@@ -1,11 +1,17 @@
 //! Shape tests: the headline qualitative results of the paper must hold
 //! in the reproduction — who wins, where, and in which direction.
 
-use cluster_bench::{evaluate_app, Variant};
-use gpu_kernels::suite;
-use gpu_sim::{arch, ArchGen};
+use cluster_bench::{evaluate_apps_par, AppEvaluation, Variant};
+use cta_clustering::ClusterError;
+use gpu_kernels::{suite, Workload};
+use gpu_sim::{arch, ArchGen, GpuConfig};
 
-fn best_clustering(eval: &cluster_bench::AppEvaluation) -> f64 {
+/// Evaluates one workload under every variant on the calling thread.
+fn evaluate_app(cfg: &GpuConfig, w: Box<dyn Workload>) -> Result<AppEvaluation, ClusterError> {
+    Ok(evaluate_apps_par(cfg, vec![w], 1)?.remove(0))
+}
+
+fn best_clustering(eval: &AppEvaluation) -> f64 {
     [
         Variant::Clustering,
         Variant::ClusteringThrottled,
