@@ -1,8 +1,7 @@
 //! Locality-source classification: the five application categories of the
 //! paper's Figure 4, detected from the pre-L1 access stream.
 
-use crate::wordmap::WordMap;
-use crate::REFERENCE_LINE_BYTES;
+use crate::wordmap::{distinct_words, ordered, WordMap, LINE_WORDS};
 use gpu_sim::{AccessEvent, TraceSink};
 use std::fmt;
 
@@ -87,14 +86,15 @@ struct LineInfo {
     present: bool,
 }
 
-/// Per-word sharing state. `seen` is the [`WordMap`] presence sentinel
-/// ("touched before", the reuse predicate).
-#[derive(Debug, Default, Clone, Copy)]
-struct WordState {
-    first_cta: u64,
-    multi_cta: bool,
-    seen: bool,
-}
+/// Per-word sharing state in one word: the first toucher's CTA id + 1 in
+/// the low 63 bits (0 = never touched, the [`WordMap`] presence sentinel
+/// and the reuse predicate) and [`MULTI_CTA`] in bit 63. CTA ids must
+/// therefore stay below `2^63 − 1`.
+type WordState = u64;
+
+/// Bit 63 of a [`WordState`]: a CTA other than the first has touched the
+/// word.
+const MULTI_CTA: u64 = 1 << 63;
 
 /// Trace sink computing a [`Signature`] and deriving a [`Category`].
 ///
@@ -108,9 +108,9 @@ struct WordState {
 pub struct CategoryProfiler {
     words: WordMap<WordState>,
     lines: WordMap<LineInfo>,
-    // Per-record scratch (reused to keep the hot path allocation-free).
-    seen_lines: Vec<u64>,
-    seen_words: Vec<u64>,
+    /// Sorted copy of an unsorted event's lanes (reused to keep the hot
+    /// path allocation-free).
+    scratch: Vec<u64>,
     // Line-population counts, maintained incrementally so `signature`
     // never scans the paged stores.
     lines_touched: u64,
@@ -134,13 +134,12 @@ impl Default for CategoryProfiler {
 }
 
 impl CategoryProfiler {
-    /// Creates a classifier over the [`REFERENCE_LINE_BYTES`] line.
+    /// Creates a classifier over the [`REFERENCE_LINE_BYTES`](crate::REFERENCE_LINE_BYTES) line.
     pub fn new() -> Self {
         CategoryProfiler {
             words: WordMap::default(),
             lines: WordMap::default(),
-            seen_lines: Vec::new(),
-            seen_words: Vec::new(),
+            scratch: Vec::new(),
             lines_touched: 0,
             lines_interfered: 0,
             word_accesses: 0,
@@ -240,49 +239,46 @@ pub fn classify(sig: &Signature) -> Category {
 
 impl TraceSink for CategoryProfiler {
     fn record(&mut self, e: &AccessEvent<'_>) {
+        debug_assert!(
+            e.cta < MULTI_CTA - 1,
+            "CTA id {} does not fit the packed word state",
+            e.cta
+        );
         self.accesses += 1;
         if e.is_write {
             self.stores += 1;
         }
-        // Coalescing accounting against the reference line size. The
-        // dedup scratch lives on `self` so the per-access hot path stays
-        // allocation-free.
-        let mut seen_lines = std::mem::take(&mut self.seen_lines);
-        let mut seen_words = std::mem::take(&mut self.seen_words);
-        seen_lines.clear();
-        seen_words.clear();
-        for &addr in e.addrs {
-            let line = addr / REFERENCE_LINE_BYTES;
-            if !seen_lines.contains(&line) {
-                seen_lines.push(line);
-            }
-            let word = addr / 4;
-            if !seen_words.contains(&word) {
-                seen_words.push(word);
-            }
-        }
-        self.txns += seen_lines.len() as u64;
         self.lanes += e.addrs.len() as u64;
-
-        for &word in &seen_words {
-            self.word_accesses += 1;
-            let entry = self.words.slot(word);
-            if !entry.seen {
-                entry.first_cta = e.cta;
-            }
-            if entry.first_cta != e.cta {
-                entry.multi_cta = true;
-            }
-            if entry.seen {
+        let first = e.cta + 1;
+        // Lanes in address order: each distinct word once, and each
+        // line's words in one run — one transaction per run against the
+        // reference line.
+        let mut words = distinct_words(ordered(e.addrs, &mut self.scratch)).peekable();
+        while let Some(&head) = words.peek() {
+            let line = head / LINE_WORDS;
+            self.txns += 1;
+            // The line's words, on their one page.
+            let slots = self.words.line_slots(line);
+            let mut word_shared = true;
+            while let Some(word) = words.next_if(|w| w / LINE_WORDS == line) {
+                self.word_accesses += 1;
+                let state = &mut slots[(word % LINE_WORDS) as usize];
+                if *state == 0 {
+                    *state = first;
+                    word_shared = false;
+                    continue;
+                }
+                if (*state & !MULTI_CTA) != first {
+                    *state |= MULTI_CTA;
+                }
                 self.word_reuses += 1;
-                if entry.multi_cta {
+                if *state & MULTI_CTA != 0 {
                     self.word_inter += 1;
+                } else {
+                    word_shared = false;
                 }
             }
-            entry.seen = true;
-        }
 
-        for &line in &seen_lines {
             let info = self.lines.slot(line);
             if !info.present {
                 info.present = true;
@@ -300,13 +296,9 @@ impl TraceSink for CategoryProfiler {
                 if info.touched && info.multi_cta {
                     // A cross-CTA line reuse: spatial if the word is new
                     // to the line's history, word-level otherwise.
-                    // Approximate with the word maps: if every word of
-                    // this access was already multi-CTA-shared, count
-                    // word-level.
-                    let word_shared = seen_words
-                        .iter()
-                        .filter(|w| **w / (REFERENCE_LINE_BYTES / 4) == line)
-                        .all(|w| self.words.get(*w).map(|s| s.multi_cta).unwrap_or(false));
+                    // Approximated with the word states: word-level when
+                    // every word of this access on the line is
+                    // multi-CTA-shared (this access included).
                     if word_shared {
                         self.line_inter_word += 1;
                     } else {
@@ -339,8 +331,6 @@ impl TraceSink for CategoryProfiler {
                 }
             }
         }
-        self.seen_lines = seen_lines;
-        self.seen_words = seen_words;
     }
 }
 

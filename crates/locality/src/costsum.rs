@@ -79,9 +79,9 @@
 //! [`CacheConfig::aggregated_tags`]: gpu_sim::CacheConfig
 //! [`IndexFn`]: gpu_sim::IndexFn
 
+use crate::wordmap::WordMap;
 use gpu_sim::{
-    coalesce_lines_into, walk, AddrDec, CacheOp, FxHashMap, GpuConfig, IndexFn, KernelSpec, Op,
-    WritePolicy,
+    coalesce_lines_into, walk, AddrDec, CacheOp, GpuConfig, IndexFn, KernelSpec, Op, WritePolicy,
 };
 
 /// Absolute slack allowed when testing measured rates against the
@@ -92,6 +92,8 @@ pub const CONTAINMENT_EPS: f64 = 1e-9;
 /// Per-line abstract state accumulated by the walk.
 #[derive(Debug, Clone, Copy, Default)]
 struct LineRec {
+    /// Line number (`addr >> log2(line_bytes)`).
+    tag: u64,
     /// Demand/prefetch read line transactions touching this line.
     touches: u64,
     /// Distinct CTAs among those touches (exact: the walk is CTA-major).
@@ -187,18 +189,32 @@ pub struct AccessSummary {
     atomics: u64,
     /// Memory ops of any kind (loads, stores, atomics).
     mem_ops: u64,
-    /// Per-line abstract state, keyed by line number (`addr >> log2`).
-    lines: FxHashMap<u64, LineRec>,
-    /// Line tags of every cacheable access in walk order (CTA-major,
+    /// Per-line abstract state by dense line id (ids in first-touch
+    /// order of the walk).
+    lines: Vec<LineRec>,
+    /// Line ids of every cacheable access in walk order (CTA-major,
     /// warp-minor, per-warp program order — the engine's issue order for
     /// each individual warp). Bypassed reads and atomics are excluded.
-    warp_tags: Vec<u64>,
+    warp_tags: Vec<u32>,
     /// Parallel to `warp_tags`: `true` for `CacheAll` stores, `false`
     /// for cacheable reads.
     warp_stores: Vec<bool>,
     /// Start offset of each walked warp's slice in `warp_tags`; the
     /// vector length is the number of warps walked.
     warp_starts: Vec<usize>,
+}
+
+/// The dense id of line `tag`, registering it on its first touch.
+fn line_id(ids: &mut WordMap<u32>, lines: &mut Vec<LineRec>, tag: u64) -> u32 {
+    let slot = ids.slot(tag);
+    if *slot == 0 {
+        lines.push(LineRec {
+            tag,
+            ..LineRec::default()
+        });
+        *slot = u32::try_from(lines.len()).expect("line ids fit in u32");
+    }
+    *slot - 1
 }
 
 impl AccessSummary {
@@ -222,11 +238,13 @@ impl AccessSummary {
             stores: 0,
             atomics: 0,
             mem_ops: 0,
-            lines: FxHashMap::default(),
+            lines: Vec::new(),
             warp_tags: Vec::new(),
             warp_stores: Vec::new(),
             warp_starts: Vec::new(),
         };
+        // Line number -> dense id + 1 (0 = not yet touched).
+        let mut ids: WordMap<u32> = WordMap::default();
         let mut line_buf: Vec<u64> = Vec::new();
         walk::each_warp_program(kernel, num_sms, warp_size, |ctx, _warp, prog| {
             s.warp_starts.push(s.warp_tags.len());
@@ -244,11 +262,11 @@ impl AccessSummary {
                         // and count into its read statistics.
                         coalesce_lines_into(a, line_bytes, &mut line_buf);
                         for &line in line_buf.iter() {
-                            let tag = line >> shift;
+                            let id = line_id(&mut ids, &mut s.lines, line >> shift);
                             s.reads += 1;
-                            s.warp_tags.push(tag);
+                            s.warp_tags.push(id);
                             s.warp_stores.push(false);
-                            let rec = s.lines.entry(tag).or_default();
+                            let rec = &mut s.lines[id as usize];
                             rec.touches += 1;
                             if rec.ctas == 0 || rec.last_cta != ctx.cta {
                                 rec.ctas += 1;
@@ -267,10 +285,10 @@ impl AccessSummary {
                         if a.cache_op == CacheOp::CacheAll {
                             coalesce_lines_into(a, line_bytes, &mut line_buf);
                             for &line in line_buf.iter() {
-                                let tag = line >> shift;
-                                s.warp_tags.push(tag);
+                                let id = line_id(&mut ids, &mut s.lines, line >> shift);
+                                s.warp_tags.push(id);
                                 s.warp_stores.push(true);
-                                let rec = s.lines.entry(tag).or_default();
+                                let rec = &mut s.lines[id as usize];
                                 rec.written = true;
                                 if rec.swarps == 0 || rec.last_swarp != wid {
                                     rec.swarps += 1;
@@ -330,7 +348,7 @@ impl AccessSummary {
     /// Distinct lines touched by cacheable reads — the read working set,
     /// in lines.
     pub fn read_working_set(&self) -> u64 {
-        self.lines.values().filter(|r| r.read).count() as u64
+        self.lines.iter().filter(|r| r.read).count() as u64
     }
 
     /// Whether the kernel presents no reads to the L1 at all — cache
@@ -346,7 +364,7 @@ impl AccessSummary {
     /// capacity and associativity then cannot change the miss count.
     pub fn all_reads_cold(&self, policy: WritePolicy) -> bool {
         self.reads > 0
-            && self.lines.values().all(|r| {
+            && self.lines.iter().all(|r| {
                 !r.read || (r.touches == 1 && (policy == WritePolicy::WriteEvict || !r.written))
             })
     }
@@ -381,14 +399,15 @@ impl AccessSummary {
         // U: first read provably misses when no store can pre-install.
         let cold_lines = self
             .lines
-            .values()
+            .iter()
             .filter(|r| r.read && (!wba || !r.written))
             .count() as u64;
         let hi = (t - cold_lines) as f64 / t as f64;
 
         let dec = self.sub_decoder(cfg);
         let assoc = cfg.l1.associativity as u64;
-        let footprint = self.set_footprints(&dec, wba);
+        let sets = self.line_sets(&dec);
+        let footprint = self.set_footprints(&sets, dec.num_sets() as usize, wba);
         // A stable-set line is never evicted, so it misses at most once
         // per L1 array it is read on — and the device only has
         // `num_sms * l1_sectors` arrays. A line read by more CTAs than
@@ -396,18 +415,18 @@ impl AccessSummary {
         // the array's first is a guaranteed hit under any placement.
         let arrays = cfg.num_sms as u64 * cfg.l1_sectors as u64;
         let mut guaranteed = 0u64;
-        for (&tag, rec) in &self.lines {
+        for (rec, &set) in self.lines.iter().zip(&sets) {
             if !rec.read || (!wba && rec.written) {
                 continue;
             }
-            if footprint[dec.set_of_tag(tag) as usize] <= assoc {
+            if footprint[set as usize] <= assoc {
                 guaranteed += rec.touches - rec.ctas.min(arrays);
             }
         }
         let conflict = if cfg.l1.aggregated_tags {
             0
         } else {
-            self.conflict_credit(&dec, assoc, wba, &footprint)
+            self.conflict_credit(&sets, assoc, wba, &footprint)
         };
         guaranteed += conflict;
         let lo = guaranteed as f64 / t as f64;
@@ -438,13 +457,22 @@ impl AccessSummary {
         )
     }
 
-    /// Install-capable lines per set under `dec`: lines a read installs,
-    /// plus (under write-back-allocate) lines a store installs.
-    fn set_footprints(&self, dec: &AddrDec, wba: bool) -> Vec<u64> {
-        let mut footprint = vec![0u64; dec.num_sets() as usize];
-        for (&tag, rec) in &self.lines {
+    /// Each line's set under `dec`, by line id.
+    fn line_sets(&self, dec: &AddrDec) -> Vec<u32> {
+        self.lines
+            .iter()
+            .map(|r| dec.set_of_tag(r.tag) as u32)
+            .collect()
+    }
+
+    /// Install-capable lines per set, given each line's set: lines a
+    /// read installs, plus (under write-back-allocate) lines a store
+    /// installs.
+    fn set_footprints(&self, sets: &[u32], num_sets: usize, wba: bool) -> Vec<u64> {
+        let mut footprint = vec![0u64; num_sets];
+        for (rec, &set) in self.lines.iter().zip(sets) {
             if rec.read || (wba && rec.written) {
-                footprint[dec.set_of_tag(tag) as usize] += 1;
+                footprint[set as usize] += 1;
             }
         }
         footprint
@@ -454,37 +482,46 @@ impl AccessSummary {
     /// hitting inside sets whose footprint overflows the ways (see the
     /// module docs for the `d + O ≤ assoc − 1` argument). Callers must
     /// gate out aggregated-tag configurations.
-    fn conflict_credit(&self, dec: &AddrDec, assoc: u64, wba: bool, footprint: &[u64]) -> u64 {
+    fn conflict_credit(&self, sets: &[u32], assoc: u64, wba: bool, footprint: &[u64]) -> u64 {
         if assoc == 0 || !footprint.iter().any(|&f| f > assoc) {
             return 0;
         }
-        // Exclusive install-capable lines per (warp, conflict set): the
-        // lines no other warp can ever touch on the same array.
-        let mut excl: FxHashMap<(u32, u64), u64> = FxHashMap::default();
-        for (&tag, rec) in &self.lines {
-            if !(rec.read || (wba && rec.written)) {
-                continue;
-            }
-            let set = dec.set_of_tag(tag);
-            if footprint[set as usize] <= assoc {
+        // Exclusive install-capable lines of the conflict sets as
+        // (owner warp, set), in warp order: the lines no other warp can
+        // ever touch on the same array.
+        let mut excl: Vec<(u32, u32)> = Vec::new();
+        for (rec, &set) in self.lines.iter().zip(sets) {
+            if !(rec.read || (wba && rec.written)) || footprint[set as usize] <= assoc {
                 continue;
             }
             if let Some(w) = rec.exclusive_owner(wba) {
-                *excl.entry((w, set)).or_insert(0) += 1;
+                excl.push((w, set));
             }
         }
+        excl.sort_unstable();
+        let ways = assoc as usize;
+        // The current warp's exclusive lines per set.
+        let mut own = vec![0u64; footprint.len()];
+        // Per-set MRU recency lists of line ids, capped at `assoc`
+        // entries, in one flat array: the position of a re-touched line
+        // is its exact distinct-line distance `d` within this warp's
+        // stream. `touched` lists the sets whose `len` to reset.
+        let mut recency = vec![0u32; footprint.len() * ways];
+        let mut len = vec![0usize; footprint.len()];
+        let mut touched: Vec<usize> = Vec::new();
+        let mut next_excl = 0;
         let mut credit = 0u64;
-        // Per-set MRU recency lists, capped at `assoc` entries: the
-        // position of a re-touched tag is its exact distinct-line
-        // distance `d` within this warp's stream.
-        let mut recency: FxHashMap<u64, Vec<u64>> = FxHashMap::default();
         for (w, start) in self.warp_starts.iter().enumerate() {
             let end = self
                 .warp_starts
                 .get(w + 1)
                 .copied()
                 .unwrap_or(self.warp_tags.len());
-            recency.clear();
+            let first_excl = next_excl;
+            while let Some(&(_, set)) = excl.get(next_excl).filter(|(o, _)| *o as usize == w) {
+                own[set as usize] += 1;
+                next_excl += 1;
+            }
             for i in *start..end {
                 let is_store = self.warp_stores[i];
                 if is_store && !wba {
@@ -492,35 +529,45 @@ impl AccessSummary {
                     // recency argument (they can only free ways).
                     continue;
                 }
-                let tag = self.warp_tags[i];
-                let set = dec.set_of_tag(tag);
-                let f = footprint[set as usize];
+                let id = self.warp_tags[i];
+                let set = sets[id as usize] as usize;
+                let f = footprint[set];
                 if f <= assoc {
                     continue; // stable set: handled by the fits-ways bound
                 }
-                let list = recency.entry(set).or_default();
-                match list.iter().position(|&t| t == tag) {
+                let list = &mut recency[set * ways..(set + 1) * ways];
+                let n = len[set];
+                match list[..n].iter().position(|&t| t == id) {
                     Some(d) => {
-                        list.remove(d);
-                        list.insert(0, tag);
+                        list.copy_within(0..d, 1);
+                        list[0] = id;
                         if !is_store {
-                            let rec = &self.lines[&tag];
+                            let rec = &self.lines[id as usize];
                             // Write-evict: a stored-to line may be
                             // invalidated between the touches.
                             let creditable = wba || !rec.written;
-                            let o = f - excl.get(&(w as u32, set)).copied().unwrap_or(0);
+                            let o = f - own[set];
                             if creditable && d as u64 + o < assoc {
                                 credit += 1;
                             }
                         }
                     }
                     None => {
-                        if list.len() as u64 == assoc {
-                            list.pop();
+                        if n == 0 {
+                            touched.push(set);
                         }
-                        list.insert(0, tag);
+                        let kept = n.min(ways - 1);
+                        list.copy_within(0..kept, 1);
+                        list[0] = id;
+                        len[set] = kept + 1;
                     }
                 }
+            }
+            for &(_, set) in &excl[first_excl..next_excl] {
+                own[set as usize] = 0;
+            }
+            for set in touched.drain(..) {
+                len[set] = 0;
             }
         }
         credit
@@ -551,36 +598,30 @@ impl AccessSummary {
                 footprint: vec![0; num_sets],
                 modulo_footprint: vec![0; num_sets],
                 set_reads: vec![0; num_sets],
-                conflict_hits: 0,
             };
         }
         let wba = cfg.l1.write_policy == WritePolicy::WriteBackAllocate;
-        let footprint = self.set_footprints(&dec, wba);
+        let sets = self.line_sets(&dec);
+        let footprint = self.set_footprints(&sets, num_sets, wba);
         let modulo_dec = AddrDec::for_cache_indexed(
             dec.line_bytes(),
             dec.line_bytes() / dec.sectors_per_line(),
             num_sets as u64,
             IndexFn::Modulo,
         );
-        let modulo_footprint = self.set_footprints(&modulo_dec, wba);
+        let modulo_footprint = self.set_footprints(&self.line_sets(&modulo_dec), num_sets, wba);
         let mut set_reads = vec![0u64; num_sets];
-        for (&tag, rec) in &self.lines {
+        for (rec, &set) in self.lines.iter().zip(&sets) {
             if rec.read {
-                set_reads[dec.set_of_tag(tag) as usize] += rec.touches;
+                set_reads[set as usize] += rec.touches;
             }
         }
-        let conflict_hits = if cfg.l1.aggregated_tags {
-            0
-        } else {
-            self.conflict_credit(&dec, assoc, wba, &footprint)
-        };
         SetConflictModel {
             associativity: assoc,
             index_fn: cfg.l1.index_fn,
             footprint,
             modulo_footprint,
             set_reads,
-            conflict_hits,
         }
     }
 }
@@ -609,9 +650,6 @@ pub struct SetConflictModel {
     /// `read_hits + read_misses`, summed over all arrays, equals this
     /// exactly.
     pub set_reads: Vec<u64>,
-    /// Read transactions credited by the conflict-aware refinement at
-    /// this geometry (zero under aggregated-tag mode).
-    pub conflict_hits: u64,
 }
 
 impl SetConflictModel {
@@ -978,7 +1016,6 @@ mod tests {
         assert!(!m.conflict_free());
         assert!(!m.indexing_insensitive());
         assert!((m.camping_ratio() - 3.0 * 4.0 / 5.0).abs() < 1e-12);
-        assert_eq!(m.conflict_hits, 0, "no re-touches in the stream");
 
         // A tiny footprint fits the ways under both decoders: the
         // indexing axis is provably dead.

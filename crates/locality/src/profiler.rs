@@ -10,7 +10,7 @@
 //! [`TraceSink`](gpu_sim::TraceSink) and never looks at latencies or
 //! placements.
 
-use crate::wordmap::WordMap;
+use crate::wordmap::{distinct_words, ordered, WordMap};
 use gpu_sim::{AccessEvent, TraceSink};
 
 /// The scope a reuse was classified into.
@@ -130,9 +130,9 @@ pub struct ReuseProfiler {
     /// (`words`, `words_multi_cta`, `words_reused`), so [`summary`]
     /// [`Self::summary`] is O(1) instead of a scan.
     summary: ReuseSummary,
-    /// Per-record lane-dedup scratch (reused so the per-access hot path
-    /// stays allocation-free).
-    seen_words: Vec<u64>,
+    /// Sorted copy of an unsorted event's lanes (reused so the
+    /// per-access hot path stays allocation-free).
+    scratch: Vec<u64>,
 }
 
 impl ReuseProfiler {
@@ -181,14 +181,7 @@ impl TraceSink for ReuseProfiler {
     fn record(&mut self, e: &AccessEvent<'_>) {
         // Deduplicate lanes within one warp instruction at word granularity
         // (a warp touching the same word in many lanes is one request).
-        let mut seen_words = std::mem::take(&mut self.seen_words);
-        seen_words.clear();
-        for &addr in e.addrs {
-            let word = addr / 4;
-            if seen_words.contains(&word) {
-                continue;
-            }
-            seen_words.push(word);
+        for word in distinct_words(ordered(e.addrs, &mut self.scratch)) {
             self.summary.accesses += 1;
             let info = self.words.slot(word);
             if info.touches == 0 {
@@ -221,7 +214,6 @@ impl TraceSink for ReuseProfiler {
                 warp: e.warp,
             });
         }
-        self.seen_words = seen_words;
     }
 }
 

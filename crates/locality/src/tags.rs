@@ -5,8 +5,8 @@
 //! "we bypass the streaming accesses to L1 ... to prevent them from
 //! contending resources with the accesses that have inter-CTA reuse."
 
-use crate::wordmap::WordMap;
-use gpu_sim::{AccessEvent, ArrayTag, FxHashMap, LaneSet, TraceSink};
+use crate::wordmap::{distinct_words, ordered, WordMap};
+use gpu_sim::{AccessEvent, ArrayTag, TraceSink};
 
 /// Minimum word accesses before a tag's reuse rate is trusted enough to
 /// call it streaming (§4.3-(II) bypass candidate selection).
@@ -22,10 +22,6 @@ pub struct TagSummary {
     pub accesses: u64,
     /// Accesses that re-touched a previously-touched word.
     pub reuses: u64,
-    /// Reuses whose previous toucher was a different CTA.
-    pub inter_cta: u64,
-    /// Stores to this array.
-    pub writes: u64,
 }
 
 impl TagSummary {
@@ -58,15 +54,12 @@ impl TagSummary {
 /// ```
 #[derive(Debug, Default)]
 pub struct TagReuseProfiler {
-    /// Per-tag word map: word -> last toucher CTA + 1 (0 = unseen). Tags
-    /// are few (a handful of logical arrays), so a linear-scanned vec
-    /// beats hashing the composite `(tag, word)` key per lane.
-    words: Vec<(ArrayTag, WordMap<u64>)>,
-    tags: FxHashMap<ArrayTag, TagSummary>,
-    /// Per-record word dedup scratch: a generation-stamped set cleared in
-    /// O(1) per event, replacing a linear-scanned vec that went quadratic
-    /// on wide gathers.
-    seen: LaneSet,
+    /// Per tag: its summary and which words it has touched. Tags are few
+    /// (a handful of logical arrays), so a linear-scanned vec beats
+    /// hashing the tag per event.
+    tags: Vec<(ArrayTag, TagSummary, WordMap<bool>)>,
+    /// Sorted copy of an unsorted event's lanes (reused scratch).
+    scratch: Vec<u64>,
 }
 
 impl TagReuseProfiler {
@@ -77,14 +70,11 @@ impl TagReuseProfiler {
 
     /// Summary for one tag (zeros if never seen).
     pub fn summary(&self, tag: ArrayTag) -> TagSummary {
-        self.tags.get(&tag).copied().unwrap_or_default()
-    }
-
-    /// All observed tags with their summaries, sorted by tag.
-    pub fn summaries(&self) -> Vec<(ArrayTag, TagSummary)> {
-        let mut v: Vec<_> = self.tags.iter().map(|(&t, &s)| (t, s)).collect();
-        v.sort_by_key(|(t, _)| *t);
-        v
+        self.tags
+            .iter()
+            .find(|(t, ..)| *t == tag)
+            .map(|(_, s, _)| *s)
+            .unwrap_or_default()
     }
 
     /// Tags that stream: at least 64 word accesses with a reuse rate
@@ -94,11 +84,11 @@ impl TagReuseProfiler {
         let mut v: Vec<ArrayTag> = self
             .tags
             .iter()
-            .filter(|(_, s)| {
+            .filter(|(_, s, _)| {
                 s.accesses >= STREAMING_MIN_ACCESSES
                     && (s.reuses as f64) < STREAMING_WORD_REUSE_MAX * s.accesses as f64
             })
-            .map(|(&t, _)| t)
+            .map(|(t, ..)| *t)
             .collect();
         v.sort_unstable();
         v
@@ -107,32 +97,20 @@ impl TagReuseProfiler {
 
 impl TraceSink for TagReuseProfiler {
     fn record(&mut self, e: &AccessEvent<'_>) {
-        let entry = self.tags.entry(e.tag).or_default();
-        if e.is_write {
-            entry.writes += e.addrs.len() as u64;
-        }
-        let words = match self.words.iter().position(|(t, _)| *t == e.tag) {
-            Some(i) => &mut self.words[i].1,
+        let i = match self.tags.iter().position(|(t, ..)| *t == e.tag) {
+            Some(i) => i,
             None => {
-                self.words.push((e.tag, WordMap::default()));
-                &mut self.words.last_mut().expect("just pushed").1
+                self.tags
+                    .push((e.tag, TagSummary::default(), WordMap::default()));
+                self.tags.len() - 1
             }
         };
-        self.seen.begin();
-        for &addr in e.addrs {
-            let word = addr / 4;
-            if !self.seen.insert(word) {
-                continue;
-            }
-            entry.accesses += 1;
-            let slot = words.slot(word);
-            if *slot != 0 {
-                entry.reuses += 1;
-                if *slot != e.cta + 1 {
-                    entry.inter_cta += 1;
-                }
-            }
-            *slot = e.cta + 1;
+        let (_, summary, seen) = &mut self.tags[i];
+        for word in distinct_words(ordered(e.addrs, &mut self.scratch)) {
+            summary.accesses += 1;
+            let slot = seen.slot(word);
+            summary.reuses += u64::from(*slot);
+            *slot = true;
         }
     }
 }
@@ -179,16 +157,7 @@ mod tests {
         }
         assert_eq!(p.summary(0).reuses, 0);
         assert_eq!(p.summary(1).reuses, 96);
-        assert_eq!(p.summary(1).inter_cta, 96);
         assert_eq!(p.streaming_tags(), vec![0]);
-    }
-
-    #[test]
-    fn write_counting() {
-        let mut p = TagReuseProfiler::new();
-        feed(&mut p, 3, 0, &[0, 4], true);
-        assert_eq!(p.summary(3).writes, 2);
-        assert_eq!(p.summaries().len(), 1);
     }
 
     #[test]

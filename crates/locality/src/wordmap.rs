@@ -25,7 +25,17 @@
 //! recycled storage (`V::default()` per slot), so pooled and fresh pages
 //! are indistinguishable to callers — the differential property test pins
 //! that.
+//!
+//! The word profilers read an event's lanes in address order
+//! ([`ordered`], [`distinct_words`]): duplicate lanes then sit next to
+//! each other, so deduplication is one compare with the previous word,
+//! and a reference line's words are contiguous, so a profiler can
+//! resolve the line's page once ([`WordMap::line_slots`]). Each profiler
+//! updates a word or a line at most once per event and every counter it
+//! keeps is a sum, so the lane order within an event never changes a
+//! result.
 
+use crate::REFERENCE_LINE_BYTES;
 use gpu_sim::FxHashMap;
 use std::any::{Any, TypeId};
 use std::cell::RefCell;
@@ -36,10 +46,19 @@ const PAGE_SHIFT: u32 = 10;
 const PAGE_WORDS: usize = 1 << PAGE_SHIFT;
 const NO_PAGE: u32 = u32::MAX;
 
-/// Most pages the pool retains per value type. 4096 pages of 1024 words
-/// bound the idle pool at a few tens of megabytes for the largest
-/// profiler value types while still covering the biggest single-probe
-/// footprint seen in the matrix.
+/// Words per [`REFERENCE_LINE_BYTES`] line: the slots
+/// [`WordMap::line_slots`] returns.
+pub(crate) const LINE_WORDS: u64 = REFERENCE_LINE_BYTES / 4;
+
+// A reference line never straddles a page.
+const _: () = assert!((PAGE_WORDS as u64).is_multiple_of(LINE_WORDS));
+
+/// Most pages the pool retains per value type on one thread: 4096 pages
+/// of 1024 slots, i.e. 4096 × 1024 × `size_of::<V>()` bytes — 32 MiB of
+/// 8-byte word states, 192 MiB of 48-byte line records. That covers the
+/// biggest single-probe footprint seen in the matrix. The pool only ever
+/// holds pages the thread's own dropped maps returned, so it never holds
+/// more than the thread has already used.
 const POOL_CAP: usize = 4096;
 
 thread_local! {
@@ -70,13 +89,14 @@ fn acquire_page<V: Default + Clone + 'static>() -> Box<[V]> {
     }
 }
 
-/// Insert-only sparse array keyed by word index, paged for locality.
+/// Insert-only sparse array keyed by word index (or another dense key,
+/// such as a line number), paged for locality.
 #[derive(Debug)]
 pub(crate) struct WordMap<V: Default + Clone + 'static> {
     /// Page id (`word >> PAGE_SHIFT`) to index into `pages`.
     index: FxHashMap<u64, u32>,
     pages: Vec<Box<[V]>>,
-    /// Memoized resolution of the most recent `slot` call.
+    /// Memoized resolution of the most recent page lookup.
     last_page: u64,
     last_idx: u32,
 }
@@ -114,10 +134,9 @@ impl<V: Default + Clone + 'static> Drop for WordMap<V> {
 }
 
 impl<V: Default + Clone + 'static> WordMap<V> {
-    /// The value slot for `word`, creating its page on first touch.
+    /// The slots of page `page`, creating it on first touch.
     #[inline]
-    pub(crate) fn slot(&mut self, word: u64) -> &mut V {
-        let page = word >> PAGE_SHIFT;
+    fn page(&mut self, page: u64) -> &mut [V] {
         if self.last_idx == NO_PAGE || self.last_page != page {
             let pages = &mut self.pages;
             let idx = *self.index.entry(page).or_insert_with(|| {
@@ -127,17 +146,22 @@ impl<V: Default + Clone + 'static> WordMap<V> {
             self.last_page = page;
             self.last_idx = idx;
         }
-        &mut self.pages[self.last_idx as usize][(word & (PAGE_WORDS as u64 - 1)) as usize]
+        &mut self.pages[self.last_idx as usize]
     }
 
-    /// Read-only probe: the slot for `word` if its page exists. A slot
-    /// that was never written reads as `V::default()` — callers
-    /// distinguish via their presence sentinel, exactly as they would
-    /// treat a hash-map miss.
+    /// The value slot for `word`, creating its page on first touch.
     #[inline]
-    pub(crate) fn get(&self, word: u64) -> Option<&V> {
-        let idx = *self.index.get(&(word >> PAGE_SHIFT))?;
-        Some(&self.pages[idx as usize][(word & (PAGE_WORDS as u64 - 1)) as usize])
+    pub(crate) fn slot(&mut self, word: u64) -> &mut V {
+        &mut self.page(word >> PAGE_SHIFT)[(word & (PAGE_WORDS as u64 - 1)) as usize]
+    }
+
+    /// The [`LINE_WORDS`] slots of reference line `line` (words
+    /// `line * LINE_WORDS ..`), resolving their one page once.
+    #[inline]
+    pub(crate) fn line_slots(&mut self, line: u64) -> &mut [V] {
+        let first = line * LINE_WORDS;
+        let off = (first & (PAGE_WORDS as u64 - 1)) as usize;
+        &mut self.page(first >> PAGE_SHIFT)[off..off + LINE_WORDS as usize]
     }
 
     /// Pages currently pooled for this value type on this thread
@@ -150,22 +174,52 @@ impl<V: Default + Clone + 'static> WordMap<V> {
     }
 }
 
+/// An event's lanes in ascending address order: `addrs` itself when it
+/// is already sorted (coalesced accesses are), otherwise a sorted copy
+/// in the caller's reused `scratch`.
+pub(crate) fn ordered<'a>(addrs: &'a [u64], scratch: &'a mut Vec<u64>) -> &'a [u64] {
+    if addrs.is_sorted() {
+        return addrs;
+    }
+    scratch.clear();
+    scratch.extend_from_slice(addrs);
+    scratch.sort_unstable();
+    scratch
+}
+
+/// The distinct word indices (`addr / 4`) of ascending `lanes`, in
+/// ascending order: a duplicate word can only follow itself.
+pub(crate) fn distinct_words(lanes: &[u64]) -> impl Iterator<Item = u64> + '_ {
+    let mut prev = None;
+    lanes
+        .iter()
+        .map(|&a| a / 4)
+        .filter(move |&w| prev.replace(w) != Some(w))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Read-only probe: the slot for `word` if its page exists. A slot
+    /// that was never written reads as `V::default()`.
+    fn get<V: Default + Clone + 'static>(m: &WordMap<V>, word: u64) -> Option<&V> {
+        let idx = *m.index.get(&(word >> PAGE_SHIFT))?;
+        Some(&m.pages[idx as usize][(word & (PAGE_WORDS as u64 - 1)) as usize])
+    }
+
     #[test]
     fn slots_persist_and_default() {
         let mut m: WordMap<u64> = WordMap::default();
-        assert_eq!(m.get(7), None);
+        assert_eq!(get(&m, 7), None);
         *m.slot(7) = 42;
-        assert_eq!(m.get(7), Some(&42));
+        assert_eq!(get(&m, 7), Some(&42));
         // Same page, untouched slot: default, not absent.
-        assert_eq!(m.get(8), Some(&0));
+        assert_eq!(get(&m, 8), Some(&0));
         // Different page.
-        assert_eq!(m.get(7 + (1 << 20)), None);
+        assert_eq!(get(&m, 7 + (1 << 20)), None);
         *m.slot(7 + (1 << 20)) = 9;
-        assert_eq!(m.get(7 + (1 << 20)), Some(&9));
+        assert_eq!(get(&m, 7 + (1 << 20)), Some(&9));
         // The memoized page still resolves correctly after switching back.
         assert_eq!(*m.slot(7), 42);
     }
@@ -176,8 +230,36 @@ mod tests {
         let last_of_page = (PAGE_WORDS - 1) as u64;
         *m.slot(last_of_page) = 1;
         *m.slot(last_of_page + 1) = 2;
-        assert_eq!(m.get(last_of_page), Some(&1));
-        assert_eq!(m.get(last_of_page + 1), Some(&2));
+        assert_eq!(get(&m, last_of_page), Some(&1));
+        assert_eq!(get(&m, last_of_page + 1), Some(&2));
+    }
+
+    #[test]
+    fn line_slots_alias_word_slots() {
+        let mut m: WordMap<u32> = WordMap::default();
+        // The last line of a page and the first of the next.
+        let line = PAGE_WORDS as u64 / LINE_WORDS - 1;
+        for l in [line, line + 1] {
+            let slots = m.line_slots(l);
+            assert_eq!(slots.len(), LINE_WORDS as usize);
+            for (i, s) in slots.iter_mut().enumerate() {
+                *s = (l * LINE_WORDS) as u32 + i as u32;
+            }
+        }
+        for w in line * LINE_WORDS..(line + 2) * LINE_WORDS {
+            assert_eq!(*m.slot(w), w as u32);
+        }
+    }
+
+    #[test]
+    fn ordered_lanes_dedup_adjacent_words() {
+        let mut scratch = Vec::new();
+        let sorted = [0u64, 1, 4, 4, 8];
+        assert!(std::ptr::eq(ordered(&sorted, &mut scratch), &sorted[..]));
+        let lanes = ordered(&[9, 0, 4, 3, u64::MAX, 4], &mut scratch);
+        assert_eq!(lanes, [0, 3, 4, 4, 9, u64::MAX]);
+        let words: Vec<u64> = distinct_words(lanes).collect();
+        assert_eq!(words, [0, 1, 2, u64::MAX / 4]);
     }
 
     use proptest::prelude::*;
@@ -204,7 +286,7 @@ mod tests {
         assert_eq!(WordMap::<PoolProbe>::pooled_pages(), before + 1);
         // ...and the whole recycled page reads as default.
         for w in 1..PAGE_WORDS as u64 {
-            assert_eq!(m2.get(w), Some(&PoolProbe::default()));
+            assert_eq!(get(&m2, w), Some(&PoolProbe::default()));
         }
     }
 
@@ -262,7 +344,7 @@ mod tests {
             }
             let absent = DiffProbe::default();
             for w in 0..domain {
-                match m.get(w) {
+                match get(&m, w) {
                     Some(v) => prop_assert_eq!(v, reference.get(&w).unwrap_or(&absent)),
                     // Page never materialized: the reference cannot hold
                     // a value there either.

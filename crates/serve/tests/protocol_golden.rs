@@ -15,6 +15,14 @@ use cta_serve::{Server, ServerConfig};
 
 const REQUESTS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/requests.jsonl");
 const RESPONSES: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/responses.jsonl");
+const MIX_REQUESTS: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/mix_requests.jsonl"
+);
+const MIX_RESPONSES: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/mix_responses.jsonl"
+);
 
 fn fixture_requests() -> Vec<String> {
     std::fs::read_to_string(REQUESTS)
@@ -140,4 +148,31 @@ fn stream_session_matches_the_batch_golden() {
         .map(|l| format!("{l}\n"))
         .collect();
     assert_eq!(String::from_utf8(out).expect("utf8"), expect);
+}
+
+/// The standard-mix fixture CI pipes through the `cta-serve` binary is
+/// exactly the distinct request lines of [`cta_serve::bench::standard_mix`]
+/// (the `BENCH_serve.json` mix), in mix order, and its pinned response
+/// file answers each with a plan under the same id. Plans nothing, so it
+/// stays cheap in debug builds.
+#[test]
+fn mix_fixture_is_the_standard_mix() {
+    let (mut mix, distinct) = cta_serve::bench::standard_mix(4096);
+    mix.truncate(distinct as usize);
+    let rendered: String = mix.iter().map(|l| format!("{l}\n")).collect();
+    let requests = std::fs::read_to_string(MIX_REQUESTS).expect("mix request fixture present");
+    assert_eq!(
+        requests, rendered,
+        "mix_requests.jsonl drifted from standard_mix"
+    );
+
+    let responses = std::fs::read_to_string(MIX_RESPONSES).expect("mix responses present");
+    let responses: Vec<&str> = responses.lines().collect();
+    assert_eq!(responses.len(), mix.len(), "one response line per request");
+    for (i, resp) in responses.iter().enumerate() {
+        assert!(
+            resp.starts_with(&format!(r#"{{"proto":"plan/v1","id":"b{i}","#)),
+            "response {i} is not the plan for request b{i}: {resp}"
+        );
+    }
 }
