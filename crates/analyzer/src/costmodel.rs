@@ -31,7 +31,7 @@ use crate::diag::{
     Report, CLUSTERING_MISS_INVARIANT, COSTMODEL_UNSOUND, OCCUPANCY_BOUND_GEOMETRY_IRRELEVANT,
     WORKING_SET_THRASHES,
 };
-use gpu_sim::{GpuConfig, KernelSpec};
+use gpu_sim::GpuConfig;
 use locality::{AccessSummary, HitInterval};
 
 /// CL201 fires only when the sound upper bound is below this.
@@ -50,21 +50,10 @@ pub struct CostVerdict {
     pub reads: u64,
 }
 
-/// Runs the abstract interpretation over `kernel` and appends any CL2xx
-/// findings for the geometry in `cfg`, returning the verdict so callers
-/// (the DSE harness, the plan audit) can consume the interval directly.
-pub fn check_kernel<K: KernelSpec + ?Sized>(
-    kernel: &K,
-    cfg: &GpuConfig,
-    subject: &str,
-    report: &mut Report,
-) -> CostVerdict {
-    let summary = AccessSummary::collect_on(kernel, cfg);
-    check_summary(&summary, cfg, subject, report)
-}
-
-/// [`check_kernel`] over an already-collected summary (one walk can
-/// serve many geometries as long as the L1 line size matches).
+/// Appends any CL2xx findings for the geometry in `cfg` over an
+/// already-collected summary (one walk can serve many geometries as long
+/// as the L1 line size matches), returning the verdict so callers (the
+/// set-conflict pass, the DSE harness) can consume the interval directly.
 pub fn check_summary(
     summary: &AccessSummary,
     cfg: &GpuConfig,
@@ -161,7 +150,7 @@ pub fn check_measured(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::{arch, CtaContext, Dim3, LaunchConfig, MemAccess, Op, Program};
+    use gpu_sim::{arch, CtaContext, Dim3, KernelSpec, LaunchConfig, MemAccess, Op, Program};
 
     /// Streams `ctas * reps` distinct lines, one load per line.
     #[derive(Debug)]
@@ -233,11 +222,21 @@ mod tests {
         report.diagnostics().iter().map(|d| d.code).collect()
     }
 
+    /// The driver's sequence: one walked summary, then the CL2xx pass.
+    fn check<K: KernelSpec>(
+        kernel: &K,
+        cfg: &GpuConfig,
+        subject: &str,
+        r: &mut Report,
+    ) -> CostVerdict {
+        check_summary(&AccessSummary::collect_on(kernel, cfg), cfg, subject, r)
+    }
+
     #[test]
     fn streaming_kernel_fires_cl202() {
         let cfg = arch::gtx570();
         let mut r = Report::new();
-        let v = check_kernel(&Streamer { ctas: 16, reps: 32 }, &cfg, "t/stream", &mut r);
+        let v = check(&Streamer { ctas: 16, reps: 32 }, &cfg, "t/stream", &mut r);
         assert_eq!(codes(&r), vec!["CL202"]);
         assert_eq!(v.interval.hi, 0.0);
         assert_eq!(v.reads, 16 * 32);
@@ -247,7 +246,7 @@ mod tests {
     fn thrashing_kernel_fires_cl201() {
         let cfg = arch::gtx570();
         let mut r = Report::new();
-        let v = check_kernel(&Thrasher, &cfg, "t/thrash", &mut r);
+        let v = check(&Thrasher, &cfg, "t/thrash", &mut r);
         assert_eq!(codes(&r), vec!["CL201"]);
         assert!(v.interval.hi > 0.0, "reuse exists, CL202 must not apply");
         assert!(v.interval.hi < THRASH_HI);
@@ -257,7 +256,7 @@ mod tests {
     fn write_only_kernel_fires_cl203() {
         let cfg = arch::gtx570();
         let mut r = Report::new();
-        let v = check_kernel(&WriteOnly, &cfg, "t/wo", &mut r);
+        let v = check(&WriteOnly, &cfg, "t/wo", &mut r);
         assert_eq!(codes(&r), vec!["CL203"]);
         assert_eq!(v.reads, 0);
         assert_eq!(v.interval.hi, 0.0);
@@ -268,7 +267,7 @@ mod tests {
         let cfg = arch::gtx570();
         let mut r = Report::new();
         // 8 CTAs x 4 reps = 32 reads < MIN_READS: cold, but not lint-worthy.
-        check_kernel(&Streamer { ctas: 8, reps: 4 }, &cfg, "t/small", &mut r);
+        check(&Streamer { ctas: 8, reps: 4 }, &cfg, "t/small", &mut r);
         assert!(codes(&r).is_empty(), "{}", r.render_human());
     }
 

@@ -128,8 +128,15 @@ pub fn analyze_workload(workload: Box<dyn Workload>, base_cfg: &GpuConfig, repor
     // model share one walked access summary of the baseline stream at the
     // harness's cache geometry.
     let summary = locality::AccessSummary::collect_on(&kernel, &cfg);
-    crate::costmodel::check_summary(&summary, &cfg, &format!("{base}/costmodel"), report);
-    crate::setmodel::check_summary(&summary, &cfg, &format!("{base}/setmodel"), report);
+    let verdict =
+        crate::costmodel::check_summary(&summary, &cfg, &format!("{base}/costmodel"), report);
+    crate::setmodel::check_summary(
+        &summary,
+        &cfg,
+        &verdict.interval,
+        &format!("{base}/setmodel"),
+        report,
+    );
 
     match AgentKernel::with_partition(
         BypassKernel::new(kernel.clone(), bypass_tags.clone()),

@@ -29,13 +29,24 @@
 //! plain access to the reserved agent-counter word is a protocol bug,
 //! never benign), and [`BARRIER_DIVERGENCE`] (deny — warps of one CTA
 //! disagree on barrier count, a hang on real hardware).
+//!
+//! The state is packed for the per-word fold. Who has touched a word, per
+//! access kind, is one `u64` (the first accessor + 1, and a "several
+//! accessors" bit), so a word's state is 24 bytes. Cross-CTA state lives
+//! in one [`WordMap`] per tag, keyed by word; intra-CTA state stays in a
+//! hash map keyed by (tag, word, phase), cleared at every CTA. An
+//! access's words are deduplicated against the previous word when its
+//! lanes ascend, and by a first-appearance scan otherwise: the `CL101`
+//! and `CL102` examples name the first conflicting word in lane order.
 
 use crate::diag::{
     Report, BARRIER_DIVERGENCE, CROSS_CTA_CONFLICT, INTRA_CTA_RACE, UNSYNCED_COUNTER_ACCESS,
 };
+use crate::ir::{first_appearance, tag_entry};
 use cta_clustering::protocol::COUNTER_TAG;
 use gpu_sim::walk::{self, SyncOp};
 use gpu_sim::{ArrayTag, CacheOp, FxHashMap, GpuConfig, KernelSpec};
+use locality::WordMap;
 use std::collections::BTreeMap;
 
 /// Memory event kinds the conflict rules distinguish.
@@ -46,29 +57,28 @@ enum Kind {
     Atomic,
 }
 
-/// Who has accessed one word, per kind: the first accessor plus a
-/// "multiple distinct accessors" flag. Enough to decide whether a new
-/// accessor conflicts with *some other* party without storing the set.
+/// Bit 63 of an [`Accessors`]: more than one distinct accessor.
+const MULTI: u64 = 1 << 63;
+
+/// Who has accessed one word, per kind: the first accessor's id + 1 in
+/// the low 63 bits (0 = none yet) plus [`MULTI`]. Enough to decide
+/// whether a new accessor conflicts with *some other* party without
+/// storing the set. Ids (warps, CTAs) must stay below `2^63 − 1`.
 #[derive(Debug, Clone, Copy, Default)]
-struct Accessors {
-    seen: bool,
-    first: u64,
-    multi: bool,
-}
+struct Accessors(u64);
 
 impl Accessors {
     fn note(&mut self, id: u64) {
-        if !self.seen {
-            self.seen = true;
-            self.first = id;
-        } else if self.first != id {
-            self.multi = true;
+        if self.0 == 0 {
+            self.0 = id + 1;
+        } else if self.0 & !MULTI != id + 1 {
+            self.0 |= MULTI;
         }
     }
 
     /// Whether some accessor other than `id` has been recorded.
     fn other_than(&self, id: u64) -> bool {
-        self.seen && (self.first != id || self.multi)
+        self.0 != 0 && self.0 != id + 1
     }
 }
 
@@ -136,8 +146,9 @@ pub struct HbPass {
     /// ran all its phases — epochs of every phase must stay live until
     /// the CTA ends.
     intra: FxHashMap<(ArrayTag, u64, u32), WordState>,
-    /// Cross-CTA state over the whole launch, keyed by (tag, word).
-    cross: FxHashMap<(ArrayTag, u64), WordState>,
+    /// Cross-CTA state over the whole launch: per tag ([`tag_entry`]),
+    /// keyed by word.
+    cross: Vec<(ArrayTag, WordMap<WordState>)>,
     /// Tags that are ever stored to or atomic'd anywhere in the launch,
     /// when the caller knows them (e.g. from the static profile of the
     /// wrapped kernel). Reads of a never-written tag cannot conflict
@@ -182,6 +193,11 @@ impl HbPass {
 
     /// Feeds one warp program (walk order: CTA-major, warp-minor).
     pub fn visit(&mut self, ctx: &gpu_sim::CtaContext, warp: u32, prog: &gpu_sim::Program) {
+        debug_assert!(
+            ctx.cta < MULTI - 1,
+            "CTA id {} does not fit the packed accessor state",
+            ctx.cta
+        );
         if self.cur_cta != Some(ctx.cta) {
             if let Some(prev) = self.cur_cta {
                 self.flush_cta(prev);
@@ -221,13 +237,8 @@ impl HbPass {
                     }
                 }
             }
-            self.words.clear();
-            for &addr in &access.addrs {
-                let w = addr / 4;
-                if !self.words.contains(&w) {
-                    self.words.push(w);
-                }
-            }
+            first_appearance(access, 4, &mut self.words);
+            let cross = tag_entry(&mut self.cross, access.tag);
             for &word in &self.words {
                 let st = self.intra.entry((access.tag, word, phase)).or_default();
                 if st.conflicts(u64::from(warp), kind) {
@@ -241,7 +252,7 @@ impl HbPass {
                 }
                 st.note(u64::from(warp), kind);
 
-                let gl = self.cross.entry((access.tag, word)).or_default();
+                let gl = cross.slot(word);
                 if gl.conflicts(ctx.cta, kind) {
                     let (cta, tag) = (ctx.cta, access.tag);
                     self.cross_conflicts

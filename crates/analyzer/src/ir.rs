@@ -5,13 +5,34 @@
 //! emitted ops: bypasses must not rob reused lines of their L1 residency,
 //! prefetches must arrive before the demand they serve, throttles must
 //! respect occupancy, and coalescing must not be pathologically divergent.
+//!
+//! The fold keeps only what the findings read:
+//!
+//! * **A line census per tag.** The demand-read touches of each
+//!   128-byte [`REFERENCE_LINE_BYTES`] line sit in a [`WordMap`] keyed by
+//!   line, beside running totals (touches, distinct lines, bypassed
+//!   touches, lines touched exactly once by a bypassed load). The
+//!   line-reuse share and `CL021`'s reused count are read off the totals,
+//!   never by scanning the lines. An access's lines come from its lanes
+//!   in address order, deduplicated against the previous line; the
+//!   census holds sums only, so lane order cannot change it.
+//! * **Prefetch life cycles only where there are prefetches.** One scan
+//!   of a program's ops decides whether it prefetches at all (baseline
+//!   and bypassed programs never do). A prefetching program is folded
+//!   forward with the last demand and last prefetch op of each (tag,
+//!   line); a prefetch is settled once the program's last demand is
+//!   known. Its lines keep first-appearance order, because the
+//!   `CL022`–`CL024` examples name the first line in program order.
 
 use crate::diag::{
     Report, BYPASS_ON_REUSED_LINE, DUPLICATE_PREFETCH, PATHOLOGICAL_DIVERGENCE,
     PREFETCH_AFTER_LAST_USE, PREFETCH_NEVER_USED,
 };
-use gpu_sim::{walk, ArrayTag, CacheOp, FxHashMap, GpuConfig, KernelSpec, Op};
-use locality::REFERENCE_LINE_BYTES;
+use gpu_sim::{
+    walk, ArrayTag, CacheOp, CtaContext, FxHashMap, GpuConfig, KernelSpec, MemAccess, Op, Program,
+    ShapeHint,
+};
+use locality::{ordered, WordMap, REFERENCE_LINE_BYTES};
 
 /// A bypassed tag is flagged when more than this fraction of its line
 /// touches land on lines that carry demand-read reuse.
@@ -26,12 +47,109 @@ const STREAM_LINE_REUSE_MAX: f64 = 0.10;
 /// the access pattern is pathologically divergent.
 const DIVERGENCE_FLOOR: f64 = 2.0;
 
+/// High bit of a census slot: the line's first touch was a bypassed
+/// load. The low 31 bits count the line's touches, so a line must be
+/// touched fewer than `2^31` times.
+const BYPASS_FIRST: u32 = 1 << 31;
+
+/// The distinct keys `addr / unit` of `access`'s lanes, in order of first
+/// appearance, into `out`. Lanes in ascending address order (proven by
+/// the access's constructor, or checked) dedup against the previous key;
+/// others scan the keys kept so far.
+pub(crate) fn first_appearance(access: &MemAccess, unit: u64, out: &mut Vec<u64>) {
+    out.clear();
+    let keys = access.addrs.iter().map(|&a| a / unit);
+    if matches!(access.shape_hint, ShapeHint::Contiguous | ShapeHint::Sorted)
+        || access.addrs.is_sorted()
+    {
+        let mut prev = None;
+        out.extend(keys.filter(|&k| prev.replace(k) != Some(k)));
+    } else {
+        for k in keys {
+            if !out.contains(&k) {
+                out.push(k);
+            }
+        }
+    }
+}
+
+/// `tag`'s entry in a linearly scanned per-tag list (tags are few: a
+/// handful of logical arrays), appended on first use.
+pub(crate) fn tag_entry<V: Default>(list: &mut Vec<(ArrayTag, V)>, tag: ArrayTag) -> &mut V {
+    let i = match list.iter().position(|(t, _)| *t == tag) {
+        Some(i) => i,
+        None => {
+            list.push((tag, V::default()));
+            list.len() - 1
+        }
+    };
+    &mut list[i].1
+}
+
+/// The demand-read line census of one tag.
+#[derive(Debug, Default)]
+struct Census {
+    /// Per reference line: its touch count, plus [`BYPASS_FIRST`].
+    lines: WordMap<u32>,
+    /// Line touches.
+    touches: u64,
+    /// Lines touched at least once.
+    distinct: u64,
+    /// Line touches by bypassed loads.
+    bypassed: u64,
+    /// Lines touched exactly once, by a bypassed load.
+    single_bypass: u64,
+}
+
+impl Census {
+    fn touch(&mut self, line: u64, bypassed: bool) {
+        let slot = self.lines.slot(line);
+        let n = *slot & !BYPASS_FIRST;
+        debug_assert!(n < !BYPASS_FIRST, "line {line:#x} touched 2^31 times");
+        match n {
+            0 => {
+                self.distinct += 1;
+                *slot = 1;
+                if bypassed {
+                    *slot |= BYPASS_FIRST;
+                    self.single_bypass += 1;
+                }
+            }
+            1 => {
+                if *slot & BYPASS_FIRST != 0 {
+                    self.single_bypass -= 1;
+                }
+                *slot += 1;
+            }
+            _ => *slot += 1,
+        }
+        self.touches += 1;
+        self.bypassed += u64::from(bypassed);
+    }
+
+    /// The share of touches landing on a line touched before.
+    fn reuse_share(&self) -> f64 {
+        (self.touches - self.distinct) as f64 / self.touches as f64
+    }
+
+    /// Bypassed touches of lines touched more than once. Exact: a line
+    /// touched once carries at most one bypassed touch.
+    fn bypassed_on_reused(&self) -> u64 {
+        self.bypassed - self.single_bypass
+    }
+}
+
+/// Last demand and last prefetch op of one (tag, line) in one program.
+#[derive(Debug, Default, Clone, Copy)]
+struct LineLife {
+    demand: Option<usize>,
+    prefetch: Option<usize>,
+}
+
 #[derive(Debug, Default)]
 struct IrStats {
-    /// Demand-read touches per (tag, line) — across the whole kernel.
-    line_touches: FxHashMap<(ArrayTag, u64), u32>,
-    /// Bypassed-load touches per (tag, line).
-    bypass_touches: FxHashMap<(ArrayTag, u64), u32>,
+    /// The demand-read census per tag ([`tag_entry`]).
+    census: Vec<(ArrayTag, Census)>,
     /// Prefetches with no later demand and no earlier demand either.
     prefetch_never_used: u64,
     /// Prefetches issued after the line's last demand access.
@@ -49,17 +167,54 @@ struct IrStats {
     txns: u64,
 }
 
+impl IrStats {
+    /// Settles one prefetch that no later demand of its program serves.
+    fn unused(&mut self, cta: u64, p: &Pending) {
+        let Pending { idx, tag, line, .. } = *p;
+        if p.used_before {
+            self.prefetch_after_last_use += 1;
+            self.example_stale.get_or_insert_with(|| {
+                format!(
+                    "CTA {cta}: tag {tag} line {line:#x} prefetched at op {idx}, last demand earlier"
+                )
+            });
+        } else {
+            self.prefetch_never_used += 1;
+            self.example_never.get_or_insert_with(|| {
+                format!(
+                    "CTA {cta}: tag {tag} line {line:#x} prefetched at op {idx}, never demanded"
+                )
+            });
+        }
+    }
+}
+
+/// A prefetched line awaiting the program's last demand.
+#[derive(Debug, Clone, Copy)]
+struct Pending {
+    idx: usize,
+    tag: ArrayTag,
+    line: u64,
+    used_before: bool,
+}
+
+fn is_prefetch(op: &Op) -> bool {
+    matches!(op, Op::Load(a) if a.cache_op == CacheOp::PrefetchL1)
+}
+
 /// The streaming IR linter: feed it warp programs in walk order
 /// ([`visit`](IrPass::visit)), then [`finish`](IrPass::finish) to emit
 /// findings. The driver fuses this pass with others over one walk.
 #[derive(Debug, Default)]
 pub struct IrPass {
     stats: IrStats,
-    // Per-program scratch, recycled across warps: op-indexed event lists.
-    demand_pos: FxHashMap<(ArrayTag, u64), Vec<usize>>,
-    prefetch_pos: Vec<(usize, ArrayTag, u64)>,
-    last_prefetch: FxHashMap<(ArrayTag, u64), usize>,
-    lines_scratch: Vec<u64>,
+    // Per-program scratch, recycled across warps and used only by
+    // prefetching programs.
+    life: FxHashMap<(ArrayTag, u64), LineLife>,
+    pending: Vec<Pending>,
+    prefetch_lines: Vec<u64>,
+    /// Sorted copy of an unsorted access's lanes.
+    scratch: Vec<u64>,
 }
 
 impl IrPass {
@@ -69,86 +224,81 @@ impl IrPass {
     }
 
     /// Feeds one warp program (walk order: CTA-major, warp-minor).
-    pub fn visit(&mut self, ctx: &gpu_sim::CtaContext, _warp: u32, prog: &gpu_sim::Program) {
-        let stats = &mut self.stats;
-        self.demand_pos.clear();
-        self.prefetch_pos.clear();
+    pub fn visit(&mut self, ctx: &CtaContext, _warp: u32, prog: &Program) {
+        let prefetching = prog.iter().any(is_prefetch);
+        if prefetching {
+            self.life.clear();
+            self.pending.clear();
+        }
         for (idx, op) in prog.iter().enumerate() {
-            let access = match op.access() {
-                Some(a) => a,
-                None => continue,
+            let Some(access) = op.access() else {
+                continue;
             };
-            self.lines_scratch.clear();
-            for &addr in &access.addrs {
-                let line = addr / REFERENCE_LINE_BYTES;
-                if !self.lines_scratch.contains(&line) {
-                    self.lines_scratch.push(line);
-                }
-            }
-            let is_prefetch = matches!(op, Op::Load(a) if a.cache_op == CacheOp::PrefetchL1);
-            if is_prefetch {
-                for &line in &self.lines_scratch {
-                    self.prefetch_pos.push((idx, access.tag, line));
-                }
+            if is_prefetch(op) {
+                self.visit_prefetch(ctx.cta, idx, access);
                 continue;
             }
             // Demand access: coalescing accounting plus, for reads, the
-            // global line-touch census feeding the bypass lint.
-            stats.txns += self.lines_scratch.len() as u64;
+            // line census feeding the bypass lint.
+            let stats = &mut self.stats;
             stats.lanes += access.addrs.len() as u64;
-            if let Op::Load(a) = op {
-                for &line in &self.lines_scratch {
-                    *stats.line_touches.entry((a.tag, line)).or_insert(0) += 1;
-                    if a.cache_op == CacheOp::BypassL1 {
-                        *stats.bypass_touches.entry((a.tag, line)).or_insert(0) += 1;
-                    }
-                    self.demand_pos.entry((a.tag, line)).or_default().push(idx);
+            let lanes = match access.shape_hint {
+                ShapeHint::Contiguous | ShapeHint::Sorted => &access.addrs[..],
+                ShapeHint::Unknown => ordered(&access.addrs, &mut self.scratch),
+            };
+            let mut prev = None;
+            let lines = lanes
+                .iter()
+                .map(|&a| a / REFERENCE_LINE_BYTES)
+                .filter(|&l| prev.replace(l) != Some(l));
+            if !matches!(op, Op::Load(_)) {
+                stats.txns += lines.count() as u64;
+                continue;
+            }
+            let bypassed = access.cache_op == CacheOp::BypassL1;
+            let census = tag_entry(&mut stats.census, access.tag);
+            let mut txns = 0;
+            for line in lines {
+                txns += 1;
+                census.touch(line, bypassed);
+                if prefetching {
+                    self.life.entry((access.tag, line)).or_default().demand = Some(idx);
+                }
+            }
+            stats.txns += txns;
+        }
+        if prefetching {
+            // The program's last demands are known: a prefetch is used
+            // when one comes after it.
+            for p in &self.pending {
+                if self.life[&(p.tag, p.line)].demand <= Some(p.idx) {
+                    self.stats.unused(ctx.cta, p);
                 }
             }
         }
-        // Prefetch life-cycle per warp program.
-        self.last_prefetch.clear();
-        for &(idx, tag, line) in &self.prefetch_pos {
+    }
+
+    /// Folds one prefetch op's lines, in first-appearance order.
+    fn visit_prefetch(&mut self, cta: u64, idx: usize, access: &MemAccess) {
+        let (stats, tag) = (&mut self.stats, access.tag);
+        first_appearance(access, REFERENCE_LINE_BYTES, &mut self.prefetch_lines);
+        for &line in &self.prefetch_lines {
             stats.prefetches += 1;
-            let key = (tag, line);
-            let demands = self.demand_pos.get(&key);
-            let used_after = demands.map(|d| d.iter().any(|&p| p > idx)).unwrap_or(false);
-            let used_before = demands.map(|d| d.iter().any(|&p| p < idx)).unwrap_or(false);
-            if let Some(&prev) = self.last_prefetch.get(&key) {
-                let demand_between = demands
-                    .map(|d| d.iter().any(|&p| p > prev && p < idx))
-                    .unwrap_or(false);
-                if !demand_between {
-                    stats.duplicate_prefetch += 1;
-                    stats.example_dup.get_or_insert_with(|| {
-                        format!(
-                            "CTA {}: tag {tag} line {line:#x} re-prefetched at op {idx}",
-                            ctx.cta
-                        )
-                    });
-                }
-            }
-            self.last_prefetch.insert(key, idx);
-            if used_after {
-                continue;
-            }
-            if used_before {
-                stats.prefetch_after_last_use += 1;
-                stats.example_stale.get_or_insert_with(|| {
-                    format!(
-                        "CTA {}: tag {tag} line {line:#x} prefetched at op {idx}, last demand earlier",
-                        ctx.cta
-                    )
-                });
-            } else {
-                stats.prefetch_never_used += 1;
-                stats.example_never.get_or_insert_with(|| {
-                    format!(
-                        "CTA {}: tag {tag} line {line:#x} prefetched at op {idx}, never demanded",
-                        ctx.cta
-                    )
+            let life = self.life.entry((tag, line)).or_default();
+            // A duplicate: no demand since the previous prefetch.
+            if life.prefetch.is_some() && life.demand <= life.prefetch {
+                stats.duplicate_prefetch += 1;
+                stats.example_dup.get_or_insert_with(|| {
+                    format!("CTA {cta}: tag {tag} line {line:#x} re-prefetched at op {idx}")
                 });
             }
+            life.prefetch = Some(idx);
+            self.pending.push(Pending {
+                idx,
+                tag,
+                line,
+                used_before: life.demand.is_some(),
+            });
         }
     }
 
@@ -169,25 +319,19 @@ impl IrPass {
     /// exactly what lint `CL021` would flag. Read off the pass over the
     /// baseline kernel.
     pub fn strict_streaming_tags(&self, mut word_set: Vec<ArrayTag>) -> Vec<ArrayTag> {
-        let shares = self.line_reuse_shares();
-        word_set.retain(|t| shares.get(t).copied().unwrap_or(0.0) < STREAM_LINE_REUSE_MAX);
+        word_set.retain(|&t| self.line_reuse_share(t) < STREAM_LINE_REUSE_MAX);
         word_set
     }
 
-    /// Per-tag line-reuse share of the demand-read census, aggregated in
-    /// one pass over it: a line touched `n` times contributes `n`
-    /// touches, `n - 1` of them reuses.
-    fn line_reuse_shares(&self) -> FxHashMap<ArrayTag, f64> {
-        let mut per_tag: FxHashMap<ArrayTag, (u64, u64)> = FxHashMap::default();
-        for (&(tag, _), &n) in &self.stats.line_touches {
-            let (touches, lines) = per_tag.entry(tag).or_default();
-            *touches += u64::from(n);
-            *lines += 1;
-        }
-        per_tag
-            .into_iter()
-            .map(|(tag, (touches, lines))| (tag, (touches - lines) as f64 / touches as f64))
-            .collect()
+    /// `tag`'s line-reuse share in the demand-read census: a line touched
+    /// `n` times contributes `n` touches, `n - 1` of them reuses. 0 for a
+    /// tag never demand-read.
+    fn line_reuse_share(&self, tag: ArrayTag) -> f64 {
+        self.stats
+            .census
+            .iter()
+            .find(|(t, c)| *t == tag && c.touches > 0)
+            .map_or(0.0, |(_, c)| c.reuse_share())
     }
 
     /// Emits the pass's findings onto `report` under `subject`.
@@ -210,20 +354,12 @@ pub fn check_kernel<K: KernelSpec + ?Sized>(
 fn finish_stats(stats: IrStats, subject: &str, report: &mut Report) {
     // CL021: per-tag share of bypassed line touches landing on lines with
     // demand-read reuse (touched more than once overall).
-    let mut per_tag: FxHashMap<ArrayTag, (u64, u64)> = FxHashMap::default();
-    for (&(tag, line), &n) in &stats.bypass_touches {
-        let entry = per_tag.entry(tag).or_insert((0, 0));
-        entry.0 += u64::from(n);
-        if stats.line_touches.get(&(tag, line)).copied().unwrap_or(0) > 1 {
-            entry.1 += u64::from(n);
-        }
-    }
-    let mut flagged: Vec<(ArrayTag, f64)> = per_tag
+    let mut flagged: Vec<(ArrayTag, f64)> = stats
+        .census
         .iter()
-        .filter(|(_, &(total, reused))| {
-            total > 0 && reused as f64 / total as f64 > BYPASS_REUSE_SHARE_MAX
-        })
-        .map(|(&t, &(total, reused))| (t, reused as f64 / total as f64))
+        .filter(|(_, c)| c.bypassed > 0)
+        .map(|(t, c)| (*t, c.bypassed_on_reused() as f64 / c.bypassed as f64))
+        .filter(|&(_, share)| share > BYPASS_REUSE_SHARE_MAX)
         .collect();
     flagged.sort_by_key(|a| a.0);
     for (tag, share) in flagged {
@@ -427,7 +563,7 @@ mod tests {
         // bypassed. Tag 1 truly streams.
         assert!(p.tag_summary(0).reuse_rate() > 0.5);
         assert!(p.tag_summary(2).reuse_rate() < 0.02);
-        assert!(baseline.line_reuse_shares()[&2] > 0.5);
+        assert!(baseline.line_reuse_share(2) > 0.5);
         assert_eq!(p.word_streaming_tags(), vec![1, 2]);
         assert_eq!(
             baseline.strict_streaming_tags(p.word_streaming_tags()),

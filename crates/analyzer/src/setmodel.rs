@@ -33,8 +33,8 @@ use crate::costmodel::MIN_READS;
 use crate::diag::{
     Report, CONFLICT_BOUND_GEOMETRY, INDEXING_INSENSITIVE, SETMODEL_UNSOUND, SET_CAMPING,
 };
-use gpu_sim::{GpuConfig, KernelSpec, SetProfile};
-use locality::{AccessSummary, SetConflictModel};
+use gpu_sim::{GpuConfig, SetProfile};
+use locality::{AccessSummary, HitInterval, SetConflictModel};
 
 /// CL301 fires when the camping ratio (max per-set footprint over the
 /// uniform per-set share) reaches this, on an overflowing set.
@@ -47,24 +47,17 @@ pub const CONFLICT_READS_SHARE: f64 = 0.5;
 /// …and the sound interval is at least this wide at the geometry.
 pub const WIDE_INTERVAL: f64 = 0.5;
 
-/// Runs the set-conflict analysis over `kernel` and appends any CL3xx
+/// Runs the set-conflict analysis over an already-collected summary (one
+/// walk serves both the CL2xx and the CL3xx pass) and appends any CL3xx
 /// findings for the geometry in `cfg`, returning the per-set model so
 /// callers (the DSE harness, the machine check) can consume it directly.
-pub fn check_kernel<K: KernelSpec + ?Sized>(
-    kernel: &K,
-    cfg: &GpuConfig,
-    subject: &str,
-    report: &mut Report,
-) -> SetConflictModel {
-    let summary = AccessSummary::collect_on(kernel, cfg);
-    check_summary(&summary, cfg, subject, report)
-}
-
-/// [`check_kernel`] over an already-collected summary (one walk serves
-/// both the CL2xx and the CL3xx pass).
+/// `iv` is the summary's hit interval at `cfg`, as the CL2xx pass
+/// returned it ([`crate::costmodel::CostVerdict::interval`]), so it is
+/// computed once per subject.
 pub fn check_summary(
     summary: &AccessSummary,
     cfg: &GpuConfig,
+    iv: &HitInterval,
     subject: &str,
     report: &mut Report,
 ) -> SetConflictModel {
@@ -114,7 +107,6 @@ pub fn check_summary(
             .map(|(&r, _)| r)
             .sum();
         let share = conflict_reads as f64 / summary.reads() as f64;
-        let iv = summary.hit_interval(cfg);
         if share >= CONFLICT_READS_SHARE && iv.width() >= WIDE_INTERVAL {
             report.emit(
                 &CONFLICT_BOUND_GEOMETRY,
@@ -216,7 +208,9 @@ pub fn check_profile(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::{arch, CtaContext, Dim3, IndexFn, LaunchConfig, MemAccess, Op, Program};
+    use gpu_sim::{
+        arch, CtaContext, Dim3, IndexFn, KernelSpec, LaunchConfig, MemAccess, Op, Program,
+    };
 
     /// `ctas` CTAs each stream `lines_per_cta` distinct lines with a
     /// configurable line stride (in lines), repeated `reps` times.
@@ -251,6 +245,18 @@ mod tests {
         report.diagnostics().iter().map(|d| d.code).collect()
     }
 
+    /// The driver's sequence: one walked summary, its hit interval, then
+    /// the CL3xx pass.
+    fn check<K: KernelSpec>(
+        kernel: &K,
+        cfg: &GpuConfig,
+        subject: &str,
+        r: &mut Report,
+    ) -> SetConflictModel {
+        let summary = AccessSummary::collect_on(kernel, cfg);
+        check_summary(&summary, cfg, &summary.hit_interval(cfg), subject, r)
+    }
+
     /// GTX570 with a modulo-indexed L1 of `assoc` ways and `sets` sets.
     fn modulo_cfg(assoc: u32, sets: u32) -> GpuConfig {
         let mut cfg = arch::gtx570();
@@ -272,7 +278,7 @@ mod tests {
             reps: 16,
         };
         let mut r = Report::new();
-        let model = check_kernel(&k, &cfg, "t/camp", &mut r);
+        let model = check(&k, &cfg, "t/camp", &mut r);
         assert_eq!(model.occupied_sets(), 1);
         assert_eq!(model.max_footprint(), 32);
         assert!(codes(&r).contains(&"CL301"), "{}", r.render_human());
@@ -291,7 +297,7 @@ mod tests {
             reps: 16,
         };
         let mut r = Report::new();
-        let model = check_kernel(&k, &cfg, "t/spread", &mut r);
+        let model = check(&k, &cfg, "t/spread", &mut r);
         assert!(model.occupied_sets() > 4);
         assert!(model.camping_ratio() < CAMPING_RATIO);
         assert!(!codes(&r).contains(&"CL301"), "{}", r.render_human());
@@ -309,7 +315,7 @@ mod tests {
             reps: 64,
         };
         let mut r = Report::new();
-        let model = check_kernel(&k, &cfg, "t/dead-axis", &mut r);
+        let model = check(&k, &cfg, "t/dead-axis", &mut r);
         assert!(model.indexing_insensitive());
         assert_eq!(codes(&r), vec!["CL302"], "{}", r.render_human());
     }
@@ -326,7 +332,7 @@ mod tests {
             reps: 16,
         };
         let mut r = Report::new();
-        let model = check_kernel(&k, &cfg, "t/wide", &mut r);
+        let model = check(&k, &cfg, "t/wide", &mut r);
         assert!(!model.conflict_free());
         assert!(codes(&r).contains(&"CL303"), "{}", r.render_human());
     }
@@ -341,7 +347,7 @@ mod tests {
             reps: 2,
         }; // 8 reads < MIN_READS
         let mut r = Report::new();
-        check_kernel(&k, &cfg, "t/quiet", &mut r);
+        check(&k, &cfg, "t/quiet", &mut r);
         assert!(codes(&r).is_empty(), "{}", r.render_human());
     }
 
@@ -356,7 +362,7 @@ mod tests {
         };
         let model = {
             let mut r = Report::new();
-            check_kernel(&k, &cfg, "t/model", &mut r)
+            check(&k, &cfg, "t/model", &mut r)
         };
         let (_stats, _metrics, profile) = gpu_sim::Simulation::new(cfg.clone(), &k)
             .run_profiled()

@@ -44,6 +44,7 @@ pub use feed::static_trace;
 pub use obs_sink::ObsSink;
 pub use profiler::{ReuseProfiler, ReuseScope, ReuseSummary};
 pub use tags::{TagReuseProfiler, TagSummary};
+pub use wordmap::{ordered, WordMap};
 
 /// The reference line size, in bytes, that line-granular locality is
 /// defined over: the 128-byte Fermi/Kepler L1 line, where cache-line

@@ -5,7 +5,7 @@
 //! "we bypass the streaming accesses to L1 ... to prevent them from
 //! contending resources with the accesses that have inter-CTA reuse."
 
-use crate::wordmap::{distinct_words, ordered, WordMap};
+use crate::wordmap::{ordered, WordMap, LINE_WORDS};
 use gpu_sim::{AccessEvent, ArrayTag, TraceSink};
 
 /// Minimum word accesses before a tag's reuse rate is trusted enough to
@@ -54,10 +54,11 @@ impl TagSummary {
 /// ```
 #[derive(Debug, Default)]
 pub struct TagReuseProfiler {
-    /// Per tag: its summary and which words it has touched. Tags are few
+    /// Per tag: its summary and which words it has touched, as a seen
+    /// mask per reference line (bit `w % 32` for word `w`). Tags are few
     /// (a handful of logical arrays), so a linear-scanned vec beats
     /// hashing the tag per event.
-    tags: Vec<(ArrayTag, TagSummary, WordMap<bool>)>,
+    tags: Vec<(ArrayTag, TagSummary, WordMap<u32>)>,
     /// Sorted copy of an unsorted event's lanes (reused scratch).
     scratch: Vec<u64>,
 }
@@ -106,14 +107,28 @@ impl TraceSink for TagReuseProfiler {
             }
         };
         let (_, summary, seen) = &mut self.tags[i];
-        for word in distinct_words(ordered(e.addrs, &mut self.scratch)) {
-            summary.accesses += 1;
-            let slot = seen.slot(word);
-            summary.reuses += u64::from(*slot);
-            *slot = true;
+        // Lanes in address order put each line's words in one run: the
+        // run's word mask counts each distinct word of the event once.
+        let mut words = ordered(e.addrs, &mut self.scratch)
+            .iter()
+            .map(|&a| a / 4)
+            .peekable();
+        while let Some(&head) = words.peek() {
+            let line = head / LINE_WORDS;
+            let mut mask = 0u32;
+            while let Some(word) = words.next_if(|w| w / LINE_WORDS == line) {
+                mask |= 1 << (word % LINE_WORDS);
+            }
+            let slot = seen.slot(line);
+            summary.accesses += u64::from(mask.count_ones());
+            summary.reuses += u64::from((mask & *slot).count_ones());
+            *slot |= mask;
         }
     }
 }
+
+// One seen bit per word of a reference line.
+const _: () = assert!(LINE_WORDS == u32::BITS as u64);
 
 #[cfg(test)]
 mod tests {

@@ -1,4 +1,5 @@
-//! Paged word-indexed storage for the stream profilers.
+//! Paged word-indexed storage for the stream profilers and the
+//! analyzer's passes.
 //!
 //! The profilers key their state by *word index* (`addr / 4`), and the
 //! access streams they observe are overwhelmingly dense: a coalesced warp
@@ -34,6 +35,11 @@
 //! updates a word or a line at most once per event and every counter it
 //! keeps is a sum, so the lane order within an event never changes a
 //! result.
+//!
+//! The store is public because `cta-analyzer` keys its passes the same
+//! way: the IR pass's per-tag line census is a `WordMap<u32>` by
+//! reference line and the happens-before pass's cross-CTA state a
+//! `WordMap` by word, so both draw on the same pages and the same pool.
 
 use crate::REFERENCE_LINE_BYTES;
 use gpu_sim::FxHashMap;
@@ -91,8 +97,21 @@ fn acquire_page<V: Default + Clone + 'static>() -> Box<[V]> {
 
 /// Insert-only sparse array keyed by word index (or another dense key,
 /// such as a line number), paged for locality.
+///
+/// # Examples
+///
+/// ```
+/// use locality::WordMap;
+///
+/// let mut touches: WordMap<u32> = WordMap::default();
+/// *touches.slot(7) += 1;
+/// *touches.slot(7) += 1;
+/// assert_eq!(*touches.slot(7), 2);
+/// // An untouched key reads as the default value.
+/// assert_eq!(*touches.slot(1 << 40), 0);
+/// ```
 #[derive(Debug)]
-pub(crate) struct WordMap<V: Default + Clone + 'static> {
+pub struct WordMap<V: Default + Clone + 'static> {
     /// Page id (`word >> PAGE_SHIFT`) to index into `pages`.
     index: FxHashMap<u64, u32>,
     pages: Vec<Box<[V]>>,
@@ -151,7 +170,7 @@ impl<V: Default + Clone + 'static> WordMap<V> {
 
     /// The value slot for `word`, creating its page on first touch.
     #[inline]
-    pub(crate) fn slot(&mut self, word: u64) -> &mut V {
+    pub fn slot(&mut self, word: u64) -> &mut V {
         &mut self.page(word >> PAGE_SHIFT)[(word & (PAGE_WORDS as u64 - 1)) as usize]
     }
 
@@ -177,7 +196,7 @@ impl<V: Default + Clone + 'static> WordMap<V> {
 /// An event's lanes in ascending address order: `addrs` itself when it
 /// is already sorted (coalesced accesses are), otherwise a sorted copy
 /// in the caller's reused `scratch`.
-pub(crate) fn ordered<'a>(addrs: &'a [u64], scratch: &'a mut Vec<u64>) -> &'a [u64] {
+pub fn ordered<'a>(addrs: &'a [u64], scratch: &'a mut Vec<u64>) -> &'a [u64] {
     if addrs.is_sorted() {
         return addrs;
     }
